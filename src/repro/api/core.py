@@ -1,9 +1,10 @@
 """:class:`JudgementCore` — the one decision/serve path behind every transport.
 
-The library serves judgement through three transports — the single
+The library serves judgement through four transports — the single
 :class:`repro.api.ColocationEngine`, the hash-partitioned
-:class:`repro.cluster.ShardedEngine`, and the request-coalescing
-:class:`repro.cluster.MicroBatcher` — and all three must agree bit-for-bit.
+:class:`repro.cluster.ShardedEngine`, the request-coalescing
+:class:`repro.cluster.MicroBatcher` and the process-tier
+:class:`repro.cluster.WorkerPool` — and all four must agree bit-for-bit.
 Historically each transport hand-copied the decision logic (threshold rules,
 ``decide_feature_pairs`` fallbacks, non-feature-space fallbacks, per-call
 cache accounting), and the copies diverged in exactly the ways copies do:
@@ -16,7 +17,8 @@ transports:
 
 * ``gather`` — a feature-gather callable ``profiles -> (rows, stats)``.  The
   single engine passes its LRU-backed ``_resolve_features``; the sharded
-  engine passes its thread-pool fan-out across shards.
+  engine passes its thread-pool fan-out across shards; the worker pool
+  passes its wire fan-out across worker processes.
 * ``scorer`` — a pair-scoring callable ``(left, right) -> probabilities``
   over aligned feature matrices (the engine's chunk-canonical
   ``_score_batched``).
@@ -28,7 +30,10 @@ accounting — lives here and nowhere else.
 Pairs resolve both sides in **one** ``gather`` call (lefts then rights,
 concatenated), so a profile appearing on both sides of a batch is featurized
 once even with caching disabled — the single-gather behavior the sharded
-engine always had, now shared by every path.
+engine always had, now shared by every path.  :meth:`JudgementCore.serve_batch`
+extends that to a whole flush: every request in it resolves through one
+gather, and the gather's ``missed`` positions attribute the cache traffic
+back to the requests (see :meth:`JudgementCore.resolve_pair_features`).
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ import numpy as np
 from repro.api.messages import JudgeRequest, JudgeResponse
 from repro.core.protocols import (
     pairwise_probability_matrix,
+    profile_key,
     symmetric_probability_matrix,
     upper_triangle_pairs,
 )
@@ -61,19 +67,44 @@ class CallCacheStats:
     carries the invalidation traffic that preceded it (the micro-batcher
     processes invalidations first in a flush; the flush's requests then
     account them).
+
+    ``missed`` is what a *gather* reports about its featurized rows: the
+    positions, in the profile list it was handed, of the first occurrence of
+    each distinct profile it featurized.  The core uses them to attribute a
+    coalesced gather's misses to the requests that shared it; per-request
+    stats leave it empty.
     """
 
     hits: int
     misses: int
     featurized: int
     invalidated: int = 0
+    missed: tuple[int, ...] = ()
 
-    def __add__(self, other: "CallCacheStats") -> "CallCacheStats":
-        return CallCacheStats(
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            featurized=self.featurized + other.featurized,
-            invalidated=self.invalidated + other.invalidated,
+    @classmethod
+    def merge(
+        cls, parts: Iterable[tuple["CallCacheStats", Sequence[int]]]
+    ) -> "CallCacheStats":
+        """Sum the stats of sub-gathers that together served one gather.
+
+        Each part pairs a sub-gather's stats with the positions, in the
+        merged gather's profile list, of the profiles that sub-gather was
+        handed — so its ``missed`` positions translate back to the caller's.
+        """
+        hits = misses = featurized = invalidated = 0
+        missed: list[int] = []
+        for stats, positions in parts:
+            hits += stats.hits
+            misses += stats.misses
+            featurized += stats.featurized
+            invalidated += stats.invalidated
+            missed.extend(positions[i] for i in stats.missed)
+        return cls(
+            hits=hits,
+            misses=misses,
+            featurized=featurized,
+            invalidated=invalidated,
+            missed=tuple(missed),
         )
 
 
@@ -81,7 +112,8 @@ class CallCacheStats:
 NO_CACHE_TRAFFIC = CallCacheStats(hits=0, misses=0, featurized=0)
 
 #: ``gather`` contract: feature rows for profiles plus the call's own cache
-#: traffic, row ``i`` aligned with profile ``i``.
+#: traffic, row ``i`` aligned with profile ``i``; ``stats.missed`` names the
+#: profiles the call featurized.
 FeatureGather = Callable[[list], tuple[np.ndarray, CallCacheStats]]
 
 #: ``scorer`` contract: co-location probabilities from two aligned feature
@@ -146,17 +178,53 @@ class JudgementCore:
         return float(getattr(self.judge, "decision_threshold", 0.5))
 
     def resolve_pair_features(
-        self, pairs: Sequence[Pair]
-    ) -> tuple[np.ndarray, np.ndarray, CallCacheStats]:
+        self, pairs: Sequence[Pair], segments: Sequence[int] | None = None
+    ) -> tuple[np.ndarray, np.ndarray, list[CallCacheStats]]:
         """Both sides' feature rows from **one** gather call.
 
         Lefts and rights resolve together, so a profile shared between the
         two sides (or between pairs) reaches the featurizer once even with
         caching disabled — and the stats count it once.
+
+        ``segments`` splits ``pairs`` into consecutive requests (their pair
+        counts, summing to ``len(pairs)``) and the stats come back one per
+        segment, under the flush attribution rule:
+
+        * a profile the gather featurized is a miss for the **first**
+          segment containing it and a hit for every later one;
+        * a profile repeated within one segment counts once;
+        * the invalidations the gather drained go to the first segment.
+
+        A single segment under that rule reports exactly the gather's own
+        stats, which is what comes back, as the only entry, when
+        ``segments`` is omitted.
         """
         profiles = [p.left for p in pairs] + [p.right for p in pairs]
         rows, stats = self._gather(profiles)
-        return rows[: len(pairs)], rows[len(pairs) :], stats
+        left, right = rows[: len(pairs)], rows[len(pairs) :]
+        if segments is None:
+            return left, right, [stats]
+        keys = [profile_key(profile) for profile in profiles]
+        missed = {keys[position] for position in stats.missed}
+        claimed: set = set()
+        segment_stats = []
+        start = 0
+        for number, length in enumerate(segments):
+            stop = start + length
+            distinct = set(keys[start:stop])
+            distinct.update(keys[len(pairs) + start : len(pairs) + stop])
+            misses = (distinct & missed) - claimed
+            claimed |= misses
+            segment_stats.append(
+                CallCacheStats(
+                    hits=len(distinct) - len(misses),
+                    misses=len(misses),
+                    featurized=len(misses),
+                    invalidated=stats.invalidated if number == 0 else 0,
+                )
+            )
+            start = stop
+        return left, right, segment_stats
 
     # -------------------------------------------------------------- judgement
     def predict_proba(self, pairs: list[Pair]) -> np.ndarray:
@@ -183,8 +251,13 @@ class JudgementCore:
         if self.explicit_threshold is None:
             if self.feature_space and hasattr(self.judge, "decide_feature_pairs"):
                 # Non-threshold decisions still benefit from the feature cache.
-                left, right, _ = self.resolve_pair_features(pairs)
-                return np.asarray(self.judge.decide_feature_pairs(left, right), dtype=int)
+                tracer = get_tracer()
+                with tracer.stage(STAGE_GATHER):
+                    left, right, _ = self.resolve_pair_features(pairs)
+                with tracer.stage(STAGE_SCORE):
+                    return np.asarray(
+                        self.judge.decide_feature_pairs(left, right), dtype=int
+                    )
             if not self.feature_space and hasattr(self.fallback_judge, "predict"):
                 # Keep the wrapped judge's own rule (e.g. a baseline's argmax
                 # equality); there is no cache to route through anyway.
@@ -224,16 +297,24 @@ class JudgementCore:
         return self.serve_batch([request])[0]
 
     def serve_batch(self, requests: Iterable[JudgeRequest]) -> list[JudgeResponse]:
-        """Answer typed requests together, scoring them as **one** batch.
+        """Answer typed requests together: **one** gather, **one** scorer call.
 
-        The coalescing entry point behind ``MicroBatcher.submit_serve``:
-        every feature-space request gathers its own features (one gather per
-        request — a deliberate trade-off: cache accounting stays exactly
-        attributable per response, and overlap between requests deduplicates
-        through the cache rather than within the call, mirroring how warm
-        and matrix requests behave in a flush), then all their pairs score
-        in a single scorer call — the same shape-dependent BLAS coalescing
-        the batcher applies to plain score requests.
+        The coalescing entry point behind ``MicroBatcher.submit_serve``.  The
+        pairs of every feature-space request resolve through a single
+        :meth:`resolve_pair_features` call — so a flush makes one featurize
+        call (one wire round trip per owner worker) however many requests it
+        holds, and a profile shared between requests featurizes once even
+        with caching disabled — then all of them score in a single scorer
+        call, the same shape-dependent BLAS coalescing the batcher applies
+        to plain score requests.  Rows and probabilities are sliced back per
+        request.
+
+        Cache accounting stays per response under the attribution rule of
+        :meth:`resolve_pair_features`: a profile the gather featurized is a
+        miss for the first request, in batch order, that contains it and a
+        hit for every later one, and drained invalidations go to the first
+        feature-space request.  The responses' ``cache_misses`` therefore
+        sum to the rows the gather featurized.
 
         Decisions and thresholds remain per request, so mixed explicit /
         default-rule requests coalesce safely.  Default-rule decisions
@@ -245,16 +326,17 @@ class JudgementCore:
         that would be to score every request twice.
 
         A single-request batch is exactly :meth:`serve`: one gather, one
-        scorer call over that request's pairs.  ``elapsed_ms`` on every
-        response measures the whole batch (the requests were served by one
-        call).
+        scorer call over that request's pairs, the same cache stats.
+        ``elapsed_ms`` on every response measures the whole batch (the
+        requests were served by one call).
 
         With tracing enabled (:func:`repro.obs.tracing`), every feature-space
-        request gets its own :class:`repro.obs.Trace`: ``gather`` is timed
-        per request, the single coalesced ``score`` measurement is attributed
-        to every participating trace, and the report rides back on
-        ``JudgeResponse.trace``.  Slow-request hooks fire against the batch's
-        ``elapsed_ms`` (the requests were served by one call).
+        request gets its own :class:`repro.obs.Trace`.  The single gather
+        and the single score are each measured once into the registry and
+        attributed to every participating trace, ``gather`` together with
+        the spans nested in it (``featurize``, ``wire_*``, a worker's own
+        stages); the report rides back on ``JudgeResponse.trace``.
+        Slow-request hooks fire against the batch's ``elapsed_ms``.
         """
         requests = list(requests)
         for request in requests:
@@ -275,55 +357,58 @@ class JudgementCore:
         probabilities: list[np.ndarray] = [np.zeros(0)] * len(requests)
         decisions: list[np.ndarray] = [np.zeros(0, dtype=int)] * len(requests)
         stats: list[CallCacheStats] = [NO_CACHE_TRAFFIC] * len(requests)
-        feature_segments: list[tuple[int, list[Pair], np.ndarray, np.ndarray]] = []
+        feature_requests: list[int] = []  # indices, in batch order
         for index, request in enumerate(requests):
+            if request.pairs and self.feature_space:
+                feature_requests.append(index)
+                continue
             pairs = list(request.pairs)
-            if pairs and self.feature_space:
-                # Gather features once per request; probabilities and
-                # decisions share them, and the per-call stats keep the
-                # response's cache traffic attributable to this request even
-                # with concurrent callers on the transport.
-                if traced:
-                    traces[index] = tracer.start_trace()
-                    with tracer.activate(traces[index]), tracer.stage(STAGE_GATHER):
-                        left, right, request_stats = self.resolve_pair_features(pairs)
-                else:
-                    left, right, request_stats = self.resolve_pair_features(pairs)
-                stats[index] = request_stats
-                feature_segments.append((index, pairs, left, right))
+            probabilities[index] = self.predict_proba(pairs)
+            if pairs and default_rule[index] and hasattr(self.fallback_judge, "predict"):
+                decisions[index] = np.asarray(self.fallback_judge.predict(pairs), dtype=int)
             else:
-                probabilities[index] = self.predict_proba(pairs)
-                if pairs and default_rule[index] and hasattr(self.fallback_judge, "predict"):
-                    decisions[index] = np.asarray(
-                        self.fallback_judge.predict(pairs), dtype=int
-                    )
-                else:
-                    decisions[index] = (probabilities[index] >= thresholds[index]).astype(int)
-        if feature_segments:
-            score_started = tracer.clock() if traced else 0.0
-            scored = self._scorer(
-                np.concatenate([left for _, _, left, _ in feature_segments]),
-                np.concatenate([right for _, _, _, right in feature_segments]),
-            )
+                decisions[index] = (probabilities[index] >= thresholds[index]).astype(int)
+        if feature_requests:
+            pairs = [pair for index in feature_requests for pair in requests[index].pairs]
+            lengths = [len(requests[index].pairs) for index in feature_requests]
+            if traced:
+                for index in feature_requests:
+                    traces[index] = tracer.start_trace()
+                # The gather runs under the first request's trace (its id is
+                # what crosses the wire); every other participant then gets
+                # a copy of the spans it recorded.
+                lead = traces[feature_requests[0]]
+                with tracer.activate(lead), tracer.stage(STAGE_GATHER):
+                    left, right, segment_stats = self.resolve_pair_features(pairs, lengths)
+                gathered = lead.stage_list()
+                for index in feature_requests[1:]:
+                    for name, duration_ms in gathered:
+                        traces[index].add(name, duration_ms)
+                score_started = tracer.clock()
+            else:
+                left, right, segment_stats = self.resolve_pair_features(pairs, lengths)
+            scored = self._scorer(left, right)
             if traced:
                 # One scorer call covers every segment: the measurement goes
                 # to the registry once and to each participating trace.
                 tracer.record_stage(
                     STAGE_SCORE,
                     (tracer.clock() - score_started) * 1e3,
-                    traces=[traces[index] for index, _, _, _ in feature_segments],
+                    traces=[traces[index] for index in feature_requests],
                 )
             offset = 0
-            for index, pairs, left, right in feature_segments:
-                stop = offset + len(pairs)
+            for index, length, request_stats in zip(feature_requests, lengths, segment_stats):
+                stop = offset + length
                 probabilities[index] = scored[offset:stop]
-                offset = stop
+                stats[index] = request_stats
                 if default_rule[index] and hasattr(self.judge, "decide_feature_pairs"):
                     decisions[index] = np.asarray(
-                        self.judge.decide_feature_pairs(left, right), dtype=int
+                        self.judge.decide_feature_pairs(left[offset:stop], right[offset:stop]),
+                        dtype=int,
                     )
                 else:
                     decisions[index] = (probabilities[index] >= thresholds[index]).astype(int)
+                offset = stop
         elapsed_ms = (time.perf_counter() - started) * 1e3
         if traced:
             for trace in traces:

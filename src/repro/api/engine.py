@@ -249,16 +249,16 @@ class ColocationEngine:
     def _resolve_features(self, profiles: list[Profile]) -> tuple[np.ndarray, "CallCacheStats"]:
         """:meth:`_features_for` plus this call's own cache statistics.
 
-        The stats are local to the call (its hits, misses and the ``len`` of
-        the miss batch it featurized), so concurrent callers never leak into
-        each other's accounting the way a before/after read of the global
-        counters would.
+        The stats are local to the call (its hits, misses, the ``len`` of the
+        miss batch it featurized and the positions of those misses), so
+        concurrent callers never leak into each other's accounting the way a
+        before/after read of the global counters would.
         """
         keys = [profile_key(p) for p in profiles]
-        missing: dict[ProfileKey, Profile] = {}
+        missing: dict[ProfileKey, int] = {}
         resolved: dict[ProfileKey, np.ndarray] = {}
         call_hits = 0
-        for key, profile in zip(keys, profiles):
+        for position, key in enumerate(keys):
             if key in resolved or key in missing:
                 continue
             row = self.store.get(key)
@@ -266,18 +266,17 @@ class ColocationEngine:
                 call_hits += 1
                 resolved[key] = row
             else:
-                missing[key] = profile
+                missing[key] = position
         with self._lock:
             self._hits += call_hits
             self._misses += len(missing)
         if missing:
-            batch = list(missing.values())
+            batch = [profiles[position] for position in missing.values()]
             with get_tracer().stage(STAGE_FEATURIZE):
                 rows = self.judge.featurize_profiles(batch)
             with self._lock:
                 self._featurized += len(batch)
-            for profile, row in zip(batch, rows):
-                key = profile_key(profile)
+            for key, row in zip(missing, rows):
                 resolved[key] = row
                 # Each row is a view into the featurized (B, D) batch; the
                 # hot tier copies views on insert so one resident row never
@@ -291,6 +290,7 @@ class ColocationEngine:
             misses=len(missing),
             featurized=len(missing),
             invalidated=call_invalidated,
+            missed=tuple(missing.values()),
         )
         return np.stack([resolved[key] for key in keys]), stats
 

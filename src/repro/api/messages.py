@@ -80,11 +80,16 @@ class JudgeResponse:
     #: The engine's decision threshold in effect for this request.
     threshold: float
     #: Feature-cache hits/misses incurred by this request (0/0 for judges
-    #: without a feature-level interface).
+    #: without a feature-level interface), each distinct profile counted
+    #: once.  Requests coalesced into one ``serve_batch`` share one gather:
+    #: a profile it featurized is a miss for the first request, in batch
+    #: order, that contains it and a hit for every later one, so the
+    #: batch's misses sum to the rows it featurized.
     cache_hits: int = 0
     cache_misses: int = 0
     #: Cache rows dropped by ``invalidate``/``invalidate_stale`` calls this
-    #: request's gather observed (invalidation traffic preceding it).
+    #: request's gather observed (invalidation traffic preceding it); in a
+    #: coalesced batch they go to the first feature-space request.
     cache_invalidated: int = 0
     #: Wall-clock time spent inside the engine, in milliseconds.
     elapsed_ms: float = 0.0

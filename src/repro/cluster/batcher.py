@@ -19,12 +19,13 @@ wait).
 Typed :class:`repro.api.JudgeRequest` serving goes through the batcher too:
 ``submit_serve`` requests — including per-request thresholds — coalesce into
 the same flushes and resolve through the engine's ``serve_batch`` (one
-scorer call for the whole flush, decisions and cache accounting still per
-request), so the serving tier's front door goes *through* the batcher
-instead of around it.  The batcher itself speaks the engine surface
-(``predict_proba`` / ``probability_matrix`` / ``warm`` / ``serve`` plus the
-``registry`` / ``judge`` / ``threshold`` / ``cache_info`` pass-throughs), so
-every :mod:`repro.service` application can be fronted by one.  Cache
+feature gather and one scorer call for the whole flush, decisions and cache
+accounting still per request), so the serving tier's front door goes
+*through* the batcher instead of around it.  The batcher itself speaks the
+engine surface (``predict_proba`` / ``probability_matrix`` / ``warm`` /
+``serve`` plus the ``registry`` / ``judge`` / ``threshold`` / ``cache_info``
+pass-throughs), so every :mod:`repro.service` application can be fronted by
+one.  Cache
 invalidations (``submit_invalidate`` / ``invalidate_stale``) queue like any
 other request but are processed *first* in their flush, so a profile
 mutation always lands before the requests flushed alongside it gather rows.
@@ -80,8 +81,9 @@ class MicroBatcher:
     Parameters
     ----------
     engine:
-        A :class:`repro.cluster.ShardedEngine` or
-        :class:`repro.api.ColocationEngine` — anything exposing
+        A :class:`repro.api.ColocationEngine`,
+        :class:`repro.cluster.ShardedEngine` or
+        :class:`repro.cluster.WorkerPool` — anything exposing
         ``predict_proba`` / ``probability_matrix`` / ``warm``.
     max_batch:
         Flush as soon as this many work items (pairs + profiles) are queued.
@@ -243,8 +245,10 @@ class MicroBatcher:
         :class:`JudgeResponse`.
 
         Serve requests coalesce into flushes like every other kind — all the
-        flush's pairs score in one ``serve_batch`` call on the engine —
-        while thresholds, decisions and cache accounting stay per request.
+        flush's pairs gather and score in one ``serve_batch`` call on the
+        engine — while thresholds, decisions and cache accounting stay per
+        request (a row featurized for the flush is a miss for the first
+        request containing it, a hit for later ones).
         """
         if not hasattr(self.engine, "serve"):
             raise ConfigurationError(
@@ -468,8 +472,9 @@ class MicroBatcher:
             serve_requests = [p for p in batch if p.kind == "serve"]
             if serve_requests:
                 # One serve_batch call for the whole flush: every request's
-                # pairs score together (the engine's JudgementCore keeps
-                # thresholds, decisions and cache stats per request).
+                # pairs gather and score together (the engine's
+                # JudgementCore keeps thresholds, decisions and cache stats
+                # per request).
                 # Engines predating serve_batch fall back to per-request
                 # serve calls in flush order.
                 if hasattr(self.engine, "serve_batch"):

@@ -495,7 +495,9 @@ class WorkerPool:
         Profiles deduplicate per owner group *before* hitting the wire (the
         query side of a pair batch repeats heavily), so a profile's JSON
         crosses a socket once per call; rows expand back by key on return.
-        Stats sum the workers' own per-call accounting.
+        Stats sum the workers' own per-call accounting; each worker's RESULT
+        names the indices of the profiles it featurized (``missed``), mapped
+        back here onto ``profiles``.
 
         With tracing enabled, body serialization is the ``wire_serialize``
         stage and the fan-out is ``wire_rtt`` (which *contains* the worker's
@@ -515,48 +517,55 @@ class WorkerPool:
             plans = []
             for owner, positions in groups.items():
                 unique: dict[ProfileKey, int] = {}
-                send: list[Profile] = []
+                sent: list[int] = []  # position of each profile sent
                 row_of: list[int] = []
                 for position in positions:
                     key = profile_key(profiles[position])
                     if key not in unique:
-                        unique[key] = len(send)
-                        send.append(profiles[position])
+                        unique[key] = len(sent)
+                        sent.append(position)
                     row_of.append(unique[key])
-                plans.append((owner, positions, row_of, send))
+                plans.append((owner, positions, row_of, sent))
             calls = []
-            for owner, _, _, send in plans:
-                body = {"profiles": [profile_to_dict(p) for p in send]}
+            for owner, _, _, sent in plans:
+                body = {"profiles": [profile_to_dict(profiles[i]) for i in sent]}
                 if trace is not None:
                     body["trace"] = trace.trace_id
                 calls.append((owner, "gather", body, ()))
         with tracer.stage(STAGE_WIRE_RTT):
             results = self._call_all(calls)
         rows: np.ndarray | None = None
-        stats = CallCacheStats(hits=0, misses=0, featurized=0)
-        for (owner, positions, row_of, send), (body, arrays) in zip(plans, results):
+        parts = []
+        for (owner, positions, row_of, sent), (body, arrays) in zip(plans, results):
             if trace is not None:
                 for span in body.get("spans", ()):
                     if isinstance(span, (list, tuple)) and len(span) == 2:
                         trace.add(str(span[0]), float(span[1]))
             worker_rows = arrays[0]
-            if len(worker_rows) != len(send):
+            if len(worker_rows) != len(sent):
                 raise WireProtocolError(
-                    f"worker {owner} returned {len(worker_rows)} rows for {len(send)} profiles"
+                    f"worker {owner} returned {len(worker_rows)} rows for {len(sent)} profiles"
                 )
-            stats = stats + CallCacheStats(
+            missed = tuple(int(i) for i in body["missed"])
+            if any(not 0 <= i < len(sent) for i in missed):
+                raise WireProtocolError(
+                    f"worker {owner} reported a missed index outside its {len(sent)} profiles"
+                )
+            stats = CallCacheStats(
                 hits=int(body["hits"]),
                 misses=int(body["misses"]),
                 featurized=int(body["featurized"]),
                 invalidated=int(body.get("invalidated", 0)),
+                missed=missed,
             )
+            parts.append((stats, sent))
             if rows is None:
                 rows = np.empty(
                     (len(profiles), worker_rows.shape[1]), dtype=worker_rows.dtype
                 )
             rows[positions] = worker_rows[row_of]
         assert rows is not None
-        return rows, stats
+        return rows, CallCacheStats.merge(parts)
 
     def warm(self, profiles: list[Profile]) -> int:
         """Pre-featurize profiles into their owner workers; returns rows featurized."""

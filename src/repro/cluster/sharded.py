@@ -274,7 +274,8 @@ class ShardedEngine:
         self, profiles: list[Profile]
     ) -> tuple[np.ndarray, CallCacheStats]:
         """Feature rows gathered from each profile's owner shard, in parallel,
-        plus this call's own cache traffic summed over the shards."""
+        plus this call's own cache traffic summed over the shards (each
+        shard's ``missed`` positions mapped back onto ``profiles``)."""
         tracer = get_tracer()
         trace = tracer.current_trace() if tracer.enabled else None
         owners = [self.shard_of(p) for p in profiles]
@@ -288,15 +289,15 @@ class ShardedEngine:
             for owner, positions in groups.items()
         }
         rows: np.ndarray | None = None
-        stats = CallCacheStats(hits=0, misses=0, featurized=0)
+        parts = []
         for owner, positions in groups.items():
             shard_rows, shard_stats = futures[owner].result()
-            stats = stats + shard_stats
+            parts.append((shard_stats, positions))
             if rows is None:
                 rows = np.empty((len(profiles), shard_rows.shape[1]), dtype=shard_rows.dtype)
             rows[positions] = shard_rows
         assert rows is not None
-        return rows, stats
+        return rows, CallCacheStats.merge(parts)
 
     def _features_for(self, profiles: list[Profile]) -> np.ndarray:
         """Feature rows gathered from each profile's owner shard, in parallel."""

@@ -11,7 +11,8 @@ bootstrap only, never on the serving path), wraps it in a fresh
 back to the gateway, and serves :mod:`repro.cluster.wire` frames in a loop.
 
 Every engine surface crosses the wire — ``gather`` (the hot path: feature
-rows as raw numpy payloads plus the call's own cache traffic),
+rows as raw numpy payloads plus the call's own cache traffic, including the
+indices of the profiles it featurized),
 ``predict_proba`` / ``predict`` / ``probability_matrix``, typed
 ``serve_batch`` (the worker runs :class:`repro.api.JudgementCore.serve_batch`
 through its engine), ``warm`` / ``cache_info`` / ``threshold``, and
@@ -156,6 +157,7 @@ def handle_call(engine, payload: bytes) -> bytes:
                 "misses": stats.misses,
                 "featurized": stats.featurized,
                 "invalidated": stats.invalidated,
+                "missed": list(stats.missed),
             },
             [rows],
         )

@@ -365,6 +365,39 @@ class TestFeatureCache:
         assert info.featurized >= info.size
 
 
+class TestTracedPredict:
+    def test_own_decision_rule_records_gather_and_score(self, tiny_dataset):
+        """predict() on a judge with its own decision rule (decide_feature_pairs)
+        times its gather and its decision as the shared stages, like
+        predict_proba — not as an orphan featurize."""
+        from repro.obs import STAGE_FEATURIZE, STAGE_GATHER, STAGE_METRIC, STAGE_SCORE, tracing
+
+        class ArgmaxRuleJudge:
+            def predict_proba(self, pairs):
+                return np.zeros(len(pairs))
+
+            def featurize_profiles(self, profiles):
+                return np.array([[float(p.uid % 3), p.ts] for p in profiles])
+
+            def score_feature_pairs(self, left, right):
+                return np.zeros(len(left))
+
+            def decide_feature_pairs(self, left, right):
+                return (left[:, 0] == right[:, 0]).astype(int)
+
+        engine = ColocationEngine(ArgmaxRuleJudge(), cache_size=0)
+        pairs = tiny_dataset.train.labeled_pairs[:6]
+        with tracing() as tracer:
+            decisions = engine.predict(pairs)
+            stages = tracer.registry.get(STAGE_METRIC)
+            counts = {
+                stage: stages.labels(stage=stage).count
+                for stage in (STAGE_GATHER, STAGE_FEATURIZE, STAGE_SCORE)
+            }
+        assert len(decisions) == len(pairs)
+        assert counts == {STAGE_GATHER: 1, STAGE_FEATURIZE: 1, STAGE_SCORE: 1}
+
+
 class TestServe:
     def test_serve_round_trip(self, engine, test_pairs):
         request = JudgeRequest(pairs=tuple(test_pairs))

@@ -156,6 +156,37 @@ class TestCoalescing:
             with MicroBatcher(sharded) as batcher:
                 np.testing.assert_allclose(batcher.score(test_pairs), direct, atol=1e-12)
 
+    def test_serve_flush_featurizes_once_per_owner_shard(self, fitted_pipeline, tiny_dataset):
+        """A flush of serve requests over fresh profiles makes one gather and
+        one featurize call per owner shard, however many requests it holds."""
+        import dataclasses
+
+        from repro.data.records import Pair
+        from repro.obs import STAGE_FEATURIZE, STAGE_GATHER, STAGE_METRIC, tracing
+
+        by_uid = {}
+        for profile in tiny_dataset.train.labeled_profiles:
+            by_uid.setdefault(profile.uid, dataclasses.replace(profile, revision=7_000_000))
+        profiles = list(by_uid.values())[:6]
+        requests = [
+            JudgeRequest(pairs=(Pair(profiles[i], profiles[(i + 1) % 6]),)) for i in range(6)
+        ]
+        with ShardedEngine(fitted_pipeline, num_shards=2, cache_size=0) as sharded:
+            owners = {sharded.shard_of(profile) for profile in profiles}
+            with tracing() as tracer, MicroBatcher(sharded, max_delay_ms=0.0) as batcher:
+                # Holding the queue's condition keeps the flusher from picking
+                # up any request before all six are queued: they share a flush.
+                with batcher._cond:
+                    futures = [batcher.submit_serve(request) for request in requests]
+                responses = [future.result(timeout=30) for future in futures]
+                stages = tracer.registry.get(STAGE_METRIC)
+                gathers = stages.labels(stage=STAGE_GATHER).count
+                featurizes = stages.labels(stage=STAGE_FEATURIZE).count
+            assert batcher.metrics.snapshot().flushes == 1
+        assert gathers == 1
+        assert featurizes == len(owners)
+        assert sum(response.cache_misses for response in responses) == len(profiles)
+
 
 class TestBackpressure:
     def test_reject_policy_raises_engine_overload(self):

@@ -17,6 +17,7 @@ correctness contract once, instead of hand-mirroring it per path:
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from repro.api import ColocationEngine, JudgeRequest
 from repro.cluster import MicroBatcher, ShardedEngine, WorkerPool
 from repro.data.records import Pair, Visit
 from repro.obs import (
+    STAGE_FEATURIZE,
     STAGE_GATHER,
     STAGE_QUEUE_WAIT,
     STAGE_SCORE,
@@ -67,6 +69,54 @@ def serving_path(request, fitted_pipeline):
 def test_pairs(tiny_dataset):
     pairs = tiny_dataset.test.labeled_pairs or tiny_dataset.train.labeled_pairs
     return pairs[:20]
+
+
+@pytest.fixture(scope="module", params=["engine", "sharded", "batcher", "workers"])
+def uncached_path(request, fitted_pipeline):
+    """(name, transport) for each serving path with the feature cache disabled."""
+    if request.param == "engine":
+        yield request.param, ColocationEngine(fitted_pipeline, cache_size=0)
+    elif request.param == "sharded":
+        with ShardedEngine(fitted_pipeline, num_shards=3, cache_size=0) as sharded:
+            yield request.param, sharded
+    elif request.param == "workers":
+        with WorkerPool(fitted_pipeline, num_workers=2, cache_size=0) as pool:
+            yield request.param, pool
+    else:
+        with ShardedEngine(fitted_pipeline, num_shards=3, cache_size=0) as sharded:
+            with MicroBatcher(sharded, max_delay_ms=2.0, overflow="block") as batcher:
+                yield request.param, batcher
+
+
+#: Revisions no other test uses, so every profile built from one is a
+#: guaranteed cache miss on first sight.
+_FRESH_REVISIONS = itertools.count(10**6)
+
+
+def fresh_profiles(dataset, count):
+    """``count`` profiles of distinct users that no cache has seen yet."""
+    by_uid = {}
+    for profile in dataset.train.labeled_profiles:
+        by_uid.setdefault(profile.uid, profile)
+    assert len(by_uid) >= count
+    return [
+        dataclasses.replace(profile, revision=next(_FRESH_REVISIONS))
+        for profile in list(by_uid.values())[:count]
+    ]
+
+
+def serve_in_one_flush(name, path, requests):
+    """Serve ``requests`` as one coalesced batch on any transport.
+
+    The batcher has no ``serve_batch``: its requests are submitted while
+    the test holds the queue's condition, so the flusher can pick none of
+    them up before all are queued, and they leave in one flush.
+    """
+    if name != "batcher":
+        return path.serve_batch(requests)
+    with path._cond:
+        futures = [path.submit_serve(request) for request in requests]
+    return [future.result(timeout=30) for future in futures]
 
 
 def assert_probabilities_agree(name, actual, expected):
@@ -290,3 +340,100 @@ class TestTraceParity:
         assert decoded.trace == response.trace
         untraced = path.serve(JudgeRequest(pairs=tuple(test_pairs)))
         assert "trace" not in untraced.to_dict()  # old payloads stay byte-identical
+
+
+class TestFlushAttribution:
+    """One gather per coalesced batch, with cache traffic still per request.
+
+    A profile the batch's single gather featurized is a miss for the first
+    request containing it (in batch order) and a hit for every later one;
+    duplicates inside one request count once.  The same rule on every
+    transport, including across the wire and through a batcher flush.
+    """
+
+    def test_shared_fresh_profile_misses_first_then_hits(
+        self, serving_path, reference, tiny_dataset
+    ):
+        name, path = serving_path
+        a, b, c = fresh_profiles(tiny_dataset, 3)
+        requests = [JudgeRequest(pairs=(Pair(a, b),)), JudgeRequest(pairs=(Pair(a, c),))]
+        first, second = serve_in_one_flush(name, path, requests)
+        assert (first.cache_misses, first.cache_hits) == (2, 0)
+        assert (second.cache_misses, second.cache_hits) == (1, 1)
+        for request, response in zip(requests, (first, second)):
+            expected = reference.serve(request)
+            assert_probabilities_agree(name, response.probabilities, expected.probabilities)
+            assert response.decisions == expected.decisions
+
+    def test_flush_misses_sum_to_rows_featurized(self, serving_path, tiny_dataset):
+        name, path = serving_path
+        a, b, c, d = fresh_profiles(tiny_dataset, 4)
+        path.warm([d])
+        before = path.cache_info().featurized
+        responses = serve_in_one_flush(
+            name,
+            path,
+            [
+                JudgeRequest(pairs=(Pair(a, b), Pair(b, a))),
+                JudgeRequest(pairs=(Pair(c, d),)),
+                JudgeRequest(pairs=(Pair(a, c), Pair(b, d))),
+            ],
+        )
+        featurized = path.cache_info().featurized - before
+        assert featurized == 3
+        assert sum(response.cache_misses for response in responses) == featurized
+        assert [response.cache_misses for response in responses] == [2, 1, 0]
+        assert [response.cache_hits for response in responses] == [0, 1, 4]
+
+    def test_uncached_shared_profile_featurizes_once_per_flush(
+        self, uncached_path, reference, tiny_dataset
+    ):
+        name, path = uncached_path
+        a, b, c = fresh_profiles(tiny_dataset, 3)
+        requests = [
+            JudgeRequest(pairs=(Pair(a, b),)),
+            JudgeRequest(pairs=(Pair(a, c),)),
+            JudgeRequest(pairs=(Pair(c, a),), threshold=0.4),
+        ]
+        before = path.cache_info().featurized
+        responses = serve_in_one_flush(name, path, requests)
+        assert path.cache_info().featurized - before == 3
+        assert [response.cache_misses for response in responses] == [2, 1, 0]
+        for request, response in zip(requests, responses):
+            assert_probabilities_agree(
+                name, response.probabilities, reference.serve(request).probabilities
+            )
+
+    def test_lone_serve_reports_its_own_gather(self, serving_path, tiny_dataset):
+        """A single request keeps the per-call rule: distinct cached profiles
+        are hits, distinct fresh ones misses, repeats count once."""
+        name, path = serving_path
+        a, b, c, d = fresh_profiles(tiny_dataset, 4)
+        path.warm([a, b])
+        response = path.serve(
+            JudgeRequest(pairs=(Pair(a, c), Pair(a, d), Pair(b, c), Pair(c, a)))
+        )
+        assert (response.cache_hits, response.cache_misses) == (2, 2)
+
+    def test_every_trace_in_a_flush_carries_the_shared_gather(
+        self, serving_path, tiny_dataset
+    ):
+        name, path = serving_path
+        a, b, c = fresh_profiles(tiny_dataset, 3)
+        with tracing():
+            responses = serve_in_one_flush(
+                name,
+                path,
+                [JudgeRequest(pairs=(Pair(a, b),)), JudgeRequest(pairs=(Pair(c, a),))],
+            )
+        nested = {STAGE_FEATURIZE}
+        if name == "workers":
+            nested |= {STAGE_WIRE_SERIALIZE, STAGE_WIRE_RTT}
+        gathers = []
+        for response in responses:
+            stages = response.trace["stages"]
+            assert {STAGE_GATHER, STAGE_SCORE} | nested <= {stage for stage, _ in stages}
+            gathers.append([ms for stage, ms in stages if stage == STAGE_GATHER])
+        # one measurement, attributed to both traces
+        assert gathers[0] == gathers[1]
+        assert len({response.trace["trace_id"] for response in responses}) == 2

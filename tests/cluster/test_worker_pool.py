@@ -311,6 +311,63 @@ def test_trace_ids_propagate_across_the_wire(pool, serving_pairs):
     assert stages.count("gather") >= 2  # the gateway's plus each worker's
 
 
+def _stage_counts(snapshot, stage):
+    from repro.obs import STAGE_METRIC, MetricsRegistry
+
+    family = MetricsRegistry.merged([snapshot]).get(STAGE_METRIC)
+    return 0 if family is None else family.labels(stage=stage).count
+
+
+def test_serve_batch_makes_one_gather_round_trip_per_owner(pool, serving_pairs):
+    """k coalesced requests cost one wire fan-out: each owner worker answers
+    one gather (and featurizes its fresh rows in one call), not one per
+    request."""
+    import dataclasses
+
+    from repro.obs import STAGE_METRIC, STAGE_WIRE_RTT, tracing
+
+    def fresh(pair):
+        left = dataclasses.replace(pair.left, revision=8_000_000)
+        right = dataclasses.replace(pair.right, revision=8_000_000)
+        return dataclasses.replace(pair, left=left, right=right)
+
+    requests = [JudgeRequest(pairs=(fresh(pair),)) for pair in serving_pairs[:5]]
+    owners = {
+        pool.worker_of(profile)
+        for request in requests
+        for pair in request.pairs
+        for profile in (pair.left, pair.right)
+    }
+    before = pool.worker_obs_snapshots()
+    with tracing() as tracer:
+        responses = pool.serve_batch(requests)
+        round_trips = tracer.registry.get(STAGE_METRIC).labels(stage=STAGE_WIRE_RTT).count
+    after = pool.worker_obs_snapshots()
+    assert len(responses) == len(requests)
+    assert round_trips == 1
+    for index in range(pool.num_workers):
+        expected = 1 if index in owners else 0
+        for stage in ("gather", "featurize"):
+            delta = _stage_counts(after[index], stage) - _stage_counts(before[index], stage)
+            assert delta == expected, (index, stage)
+
+
+def test_out_of_range_missed_index_is_a_protocol_error(pool, serving_pairs, monkeypatch):
+    """A gather RESULT naming a missed profile it was never sent is rejected
+    as malformed, not silently misattributed."""
+    from repro.errors import WireProtocolError
+
+    profile = serving_pairs[0].left
+
+    def lying_call_all(calls):
+        body = {"hits": 0, "misses": 1, "featurized": 1, "missed": [len(calls[0][2]["profiles"])]}
+        return [(body, [np.zeros((len(calls[0][2]["profiles"]), 3))])]
+
+    monkeypatch.setattr(pool, "_call_all", lying_call_all)
+    with pytest.raises(WireProtocolError, match="missed index"):
+        pool.features([profile])
+
+
 def test_heartbeat_flips_stalled_worker_without_failing_healthy_calls(
     fitted_pipeline, serving_pairs
 ):
