@@ -12,8 +12,10 @@ This benchmark sweeps batch sizes and tweet lengths for all five encoders
 (``bilstm-c``, ``blstm``, ``convlstm``, ``bgru``, ``attention``), reports the
 speedup, and checks the two paths agree to 1e-9 on every configuration (the
 property tests in ``tests/features/test_content_batch.py`` pin the same
-contract).  The headline figure is BiLSTM-C at 256 profiles x 16 tokens,
-guarded at >= 3x.
+contract).  It also times the serving path, ``encode_batch`` inside
+``inference_mode`` (the plain-NumPy twins), and fails unless its rows equal
+the ``Tensor`` ``encode_batch`` rows exactly.  The headline figure is
+BiLSTM-C at 256 profiles x 16 tokens, guarded at >= 3x.
 
 Run standalone::
 
@@ -32,6 +34,7 @@ import numpy as np
 
 from repro.data.records import Profile, Tweet
 from repro.features import CONTENT_ENCODERS, ContentEncoderConfig, TextVectorizer, make_content_encoder
+from repro.nn import inference_mode
 from repro.text import SkipGramConfig, SkipGramModel, Tokenizer, Vocabulary
 
 WORDS = [
@@ -74,6 +77,12 @@ def _batch(encoder, profiles: list[Profile]) -> np.ndarray:
     return encoder.encode_batch(profiles).data
 
 
+def _served(encoder, profiles: list[Profile]) -> np.ndarray:
+    """The serving path: ``encode_batch`` through the plain-NumPy twins."""
+    with inference_mode():
+        return encoder.encode_batch(profiles).data
+
+
 def _time(fn, *args, repeats: int = 2) -> tuple[float, np.ndarray]:
     """Best-of-N wall time after one warmup call (steady-state cost)."""
     result = fn(*args)
@@ -93,7 +102,7 @@ def run(smoke: bool = False) -> str:
         f"M = {vectorizer.word_dim}, N = 16" + (" [smoke]" if smoke else ""),
         "",
         f"{'encoder':<12} {'profiles':>8} {'tokens':>7} {'loop ms':>10} "
-        f"{'batch ms':>10} {'speedup':>8} {'max |Δ|':>10}",
+        f"{'batch ms':>10} {'speedup':>8} {'max |Δ|':>10} {'served ms':>10}",
     ]
     headline_speedup = None
     for kind in sorted(CONTENT_ENCODERS):
@@ -102,21 +111,26 @@ def run(smoke: bool = False) -> str:
             profiles = _build_profiles(num_profiles, num_tokens)
             loop_s, loop_rows = _time(_scalar_loop, encoder, profiles)
             batch_s, batch_rows = _time(_batch, encoder, profiles)
+            served_s, served_rows = _time(_served, encoder, profiles)
             drift = float(np.abs(loop_rows - batch_rows).max())
             if drift > 1e-9:
                 raise AssertionError(
                     f"{kind} batch path drifted from the scalar loop by {drift:.2e}"
                 )
+            if not np.array_equal(served_rows, batch_rows):
+                raise AssertionError(f"{kind} inference path is not bit-identical to encode_batch")
             speedup = loop_s / batch_s if batch_s > 0 else float("inf")
             if kind == "bilstm-c" and (num_profiles, num_tokens) == HEADLINE_GRID:
                 headline_speedup = speedup
             lines.append(
                 f"{kind:<12} {num_profiles:>8d} {num_tokens:>7d} {loop_s * 1e3:>10.1f} "
-                f"{batch_s * 1e3:>10.1f} {speedup:>7.1f}x {drift:>10.2e}"
+                f"{batch_s * 1e3:>10.1f} {speedup:>7.1f}x {drift:>10.2e} {served_s * 1e3:>10.1f}"
             )
         lines.append("")
     if smoke:
-        lines.append("smoke run: equivalence checked, speedup target not enforced")
+        lines.append(
+            "smoke run: equivalence checked (inference path exact), speedup target not enforced"
+        )
     else:
         assert headline_speedup is not None
         lines.append(

@@ -335,7 +335,9 @@ class JudgementCore:
         and the single score are each measured once into the registry and
         attributed to every participating trace, ``gather`` together with
         the spans nested in it (``featurize``, ``wire_*``, a worker's own
-        stages); the report rides back on ``JudgeResponse.trace``.
+        stages), ``score`` together with the per-request decisions cut from
+        the scores (a ``decide_feature_pairs`` rule is model work too, as in
+        :meth:`predict`); the report rides back on ``JudgeResponse.trace``.
         Slow-request hooks fire against the batch's ``elapsed_ms``.
         """
         requests = list(requests)
@@ -346,8 +348,9 @@ class JudgementCore:
         traced = tracer.enabled
         traces = [None] * len(requests)
         started = time.perf_counter()
+        default_threshold = self.threshold
         thresholds = [
-            self.threshold if request.threshold is None else float(request.threshold)
+            default_threshold if request.threshold is None else float(request.threshold)
             for request in requests
         ]
         default_rule = [
@@ -358,8 +361,9 @@ class JudgementCore:
         decisions: list[np.ndarray] = [np.zeros(0, dtype=int)] * len(requests)
         stats: list[CallCacheStats] = [NO_CACHE_TRAFFIC] * len(requests)
         feature_requests: list[int] = []  # indices, in batch order
+        feature_space = self.feature_space
         for index, request in enumerate(requests):
-            if request.pairs and self.feature_space:
+            if request.pairs and feature_space:
                 feature_requests.append(index)
                 continue
             pairs = list(request.pairs)
@@ -388,14 +392,6 @@ class JudgementCore:
             else:
                 left, right, segment_stats = self.resolve_pair_features(pairs, lengths)
             scored = self._scorer(left, right)
-            if traced:
-                # One scorer call covers every segment: the measurement goes
-                # to the registry once and to each participating trace.
-                tracer.record_stage(
-                    STAGE_SCORE,
-                    (tracer.clock() - score_started) * 1e3,
-                    traces=[traces[index] for index in feature_requests],
-                )
             offset = 0
             for index, length, request_stats in zip(feature_requests, lengths, segment_stats):
                 stop = offset + length
@@ -409,6 +405,15 @@ class JudgementCore:
                 else:
                     decisions[index] = (probabilities[index] >= thresholds[index]).astype(int)
                 offset = stop
+            if traced:
+                # One scorer call and the decisions cut from it cover every
+                # segment: the measurement goes to the registry once and to
+                # each participating trace.
+                tracer.record_stage(
+                    STAGE_SCORE,
+                    (tracer.clock() - score_started) * 1e3,
+                    traces=[traces[index] for index in feature_requests],
+                )
         elapsed_ms = (time.perf_counter() - started) * 1e3
         if traced:
             for trace in traces:
@@ -416,8 +421,8 @@ class JudgementCore:
                     tracer.finish(trace, total_ms=elapsed_ms)
         return [
             JudgeResponse(
-                probabilities=tuple(float(p) for p in probabilities[index]),
-                decisions=tuple(int(d) for d in decisions[index]),
+                probabilities=tuple(probabilities[index].tolist()),
+                decisions=tuple(decisions[index].tolist()),
                 threshold=thresholds[index],
                 cache_hits=stats[index].hits,
                 cache_misses=stats[index].misses,

@@ -126,7 +126,8 @@ class ColocationEngine:
         Decision threshold for :meth:`predict` / :meth:`serve`.  ``None``
         adopts the judge's own ``decision_threshold`` (default 0.5).
     batch_size:
-        Pairs scored per network invocation, bounding autograd graph size.
+        Pairs scored per network invocation, bounding the scorer's
+        intermediate arrays (scoring builds no autograd graph).
     registry:
         Optional explicit POI registry; by default it is taken from the
         judge's featurizer, so services can derive it from the engine.

@@ -45,7 +45,6 @@ waiting forever on a flush that will never come.
 
 from __future__ import annotations
 
-import dataclasses
 import inspect
 import threading
 import time
@@ -494,14 +493,11 @@ class MicroBatcher:
                     if tracer.enabled and response.trace is not None:
                         # Prepend this request's queue_wait to the trace the
                         # core built (the registry already has it, above).
+                        # Every transport builds a fresh report per response,
+                        # so the stage list is this request's own to extend.
                         wait_ms = (started - pending.enqueued) * 1e3
-                        response = dataclasses.replace(
-                            response,
-                            trace={
-                                **response.trace,
-                                "stages": [[STAGE_QUEUE_WAIT, wait_ms]]
-                                + list(response.trace.get("stages", [])),
-                            },
+                        response.trace.setdefault("stages", []).insert(
+                            0, [STAGE_QUEUE_WAIT, wait_ms]
                         )
                     pending.future.set_result(response)
 

@@ -29,7 +29,7 @@ from repro.core.protocols import (
 from repro.data.records import Pair, Profile
 from repro.errors import NotFittedError, TrainingError
 from repro.features.hisrect import EmbeddingNetwork, HisRectFeaturizer
-from repro.nn.autograd import Tensor
+from repro.nn.autograd import Tensor, inference_mode, sigmoid_array
 from repro.nn.layers import MLP, Linear
 from repro.nn.losses import binary_cross_entropy_with_logits
 from repro.nn.module import Module
@@ -252,8 +252,9 @@ class HisRectCoLocationJudge:
             raise NotFittedError("the co-location judge has not been fitted")
         if len(left) == 0:
             return np.zeros(0)
-        logits = self.network(Tensor(left), Tensor(right)).data
-        return 1.0 / (1.0 + np.exp(-logits))
+        with inference_mode():
+            logits = self.network(Tensor(left), Tensor(right)).data
+        return sigmoid_array(logits)
 
     def predict_proba(self, pairs: list[Pair]) -> np.ndarray:
         """Co-location probability for each pair."""

@@ -19,6 +19,7 @@ from repro.core.protocols import pairwise_probability_matrix
 from repro.data.records import Pair, Profile
 from repro.errors import NotFittedError, TrainingError
 from repro.features.hisrect import HisRectFeaturizer
+from repro.nn.autograd import Tensor, inference_mode, sigmoid_array
 from repro.nn.losses import binary_cross_entropy_with_logits
 from repro.nn.optim import Adam, clip_grad_norm
 
@@ -113,10 +114,9 @@ class OnePhaseModel:
             raise NotFittedError("the One-phase model has not been fitted")
         if len(left) == 0:
             return np.zeros(0)
-        from repro.nn.autograd import Tensor
-
-        logits = self.network(Tensor(left), Tensor(right)).data
-        return 1.0 / (1.0 + np.exp(-logits))
+        with inference_mode():
+            logits = self.network(Tensor(left), Tensor(right)).data
+        return sigmoid_array(logits)
 
     def predict_proba(self, pairs: list[Pair]) -> np.ndarray:
         """Co-location probabilities for pairs."""

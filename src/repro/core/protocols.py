@@ -26,7 +26,9 @@ ProfileKey = tuple[int, float, str, int, int]
 #: Revision component of keys built from profiles without a stamped revision.
 UNREVISIONED = -1
 
-#: Profiles featurized per featurizer invocation (bounds autograd graph size).
+#: Profiles featurized per featurizer invocation.  Serving builds no autograd
+#: graph, so this bounds the padded ``(B, T, M)`` word-vector batch and the
+#: per-step recurrent state arrays of one forward pass.
 FEATURIZE_CHUNK = 64
 
 
@@ -49,7 +51,10 @@ def featurize_in_chunks(featurizer, profiles: "list[Profile]", chunk: int = FEAT
 
     The shared implementation behind every judge's ``featurize_profiles``:
     identical chunking everywhere keeps feature rows bit-identical no matter
-    which entry point computed them.
+    which entry point computed them.  ``featurize`` runs the plain-NumPy
+    inference twins and builds no autograd graph; the chunk bounds the padded
+    ``(B, T, M)`` word-vector batch (``T`` is the chunk's longest tweet) and
+    the per-step state arrays of one forward pass.
 
     Feature rows are independent of their chunk companions *except* for
     single-profile chunks, where BLAS takes a different (gemv) kernel and

@@ -33,7 +33,7 @@ from repro.features.history import (
     OneHotHistoryFeaturizer,
 )
 from repro.geo.poi import POIRegistry
-from repro.nn.autograd import Tensor, concatenate
+from repro.nn.autograd import Tensor, concatenate, inference_mode
 from repro.nn.layers import MLP, Dropout, Linear, l2_normalize
 from repro.nn.module import Module
 
@@ -290,13 +290,17 @@ class HisRectFeaturizer(Module):
         return self.combiner(raw)
 
     def featurize(self, profiles: list[Profile]) -> np.ndarray:
-        """Detached features as a NumPy array (used once the featurizer is frozen)."""
-        was_training = self.training
-        self.eval()
-        features = self.forward(profiles).data.copy()
-        if was_training:
-            self.train()
-        return features
+        """Detached features as a NumPy array (used once the featurizer is frozen).
+
+        Runs :meth:`forward` inside :func:`repro.nn.autograd.inference_mode`,
+        so ``ContentEncoder.encode_batch`` and the combiner's ``MLP.forward``
+        compute through their plain-NumPy twins: no autograd graph, dropout
+        skipped, rows bit-identical to the ``Tensor`` path.  The module's
+        ``training`` flag is never touched, so concurrent callers and a
+        featurizer left in training mode get the same rows.
+        """
+        with inference_mode():
+            return self.forward(profiles).data
 
     def featurize_batch(self, profiles: list[Profile]) -> np.ndarray:
         """Detached feature rows via one batched forward, ``(B, feature_dim)``.
@@ -312,9 +316,10 @@ class HisRectFeaturizer(Module):
     def featurize_profiles(self, profiles: list[Profile]) -> np.ndarray:
         """Detached feature rows in bounded chunks, ``(B, feature_dim)``.
 
-        The judges' ``featurize_profiles`` delegate here: chunking bounds the
-        autograd graph per forward pass while each chunk still takes the
-        vectorised history and batched content fast paths.
+        The judges' ``featurize_profiles`` delegate here.  Serving builds no
+        autograd graph, so the chunk bounds the padded ``(B, T, M)`` word-vector
+        batch and the per-step state arrays of one forward pass, while each
+        chunk still takes the vectorised history and batched content paths.
         """
         from repro.core.protocols import featurize_in_chunks
 
@@ -356,14 +361,18 @@ class POIClassifier(Module):
             x = self.dropout(x)
         return self.output(x)
 
+    def _logits(self, features: np.ndarray) -> np.ndarray:
+        """Serving logits: :meth:`forward` with no autograd graph and no dropout."""
+        with inference_mode():
+            return self.forward(Tensor(features)).data
+
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Hard POI (dense index) predictions from detached features."""
-        logits = self.forward(Tensor(features)).data
-        return logits.argmax(axis=-1)
+        return self._logits(features).argmax(axis=-1)
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """POI probability distribution per row of ``features``."""
-        logits = self.forward(Tensor(features)).data
+        logits = self._logits(features)
         shifted = logits - logits.max(axis=-1, keepdims=True)
         exp = np.exp(shifted)
         return exp / exp.sum(axis=-1, keepdims=True)

@@ -10,15 +10,53 @@ recorded graph.
 Only the operations the HisRect models need are implemented, but each supports
 full NumPy broadcasting where it makes sense, and every op is covered by
 gradient-check tests in ``tests/nn``.
+
+Serving needs no gradients.  Inside :func:`inference_mode` (a thread-local
+``torch.no_grad``/``inference_mode`` analogue) ops record no parents and no
+backward closures, so no reference cycles reach the garbage collector, and
+layers dispatch to their plain-NumPy inference twins (see
+:func:`is_inference_mode`).  Another thread training at the same time is
+unaffected.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 Array = np.ndarray
+
+
+class _InferenceState(threading.local):
+    active = False
+
+
+_inference = _InferenceState()
+
+
+@contextmanager
+def inference_mode() -> Iterator[None]:
+    """Run the block without autograd bookkeeping, on this thread only.
+
+    Tensors made inside never require grad, ``backward()`` raises, dropout is
+    skipped, and layers with an inference twin (``ContentEncoder.encode_batch``,
+    ``MLP.forward``) compute through plain NumPy.  Nests; the previous state is
+    restored on exit.
+    """
+    previous = _inference.active
+    _inference.active = True
+    try:
+        yield
+    finally:
+        _inference.active = previous
+
+
+def is_inference_mode() -> bool:
+    """True inside :func:`inference_mode` on the calling thread."""
+    return _inference.active
 
 
 def _as_array(value) -> Array:
@@ -102,7 +140,7 @@ class Tensor:
         parents: Sequence["Tensor"],
         backward_fn: Callable[[Array], tuple[Array, ...]],
     ) -> "Tensor":
-        requires = any(p.requires_grad for p in parents)
+        requires = not _inference.active and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._parents = tuple(parents)
@@ -113,7 +151,10 @@ class Tensor:
         """Run reverse-mode differentiation from this tensor.
 
         ``grad`` defaults to 1.0 and is only optional for scalar outputs.
+        Raises inside :func:`inference_mode`, which records no graph.
         """
+        if _inference.active:
+            raise RuntimeError("backward() called inside inference_mode(); no graph was recorded")
         if not self.requires_grad:
             raise ValueError("called backward() on a tensor that does not require grad")
         if grad is None:
@@ -271,7 +312,7 @@ class Tensor:
         return Tensor._make(data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        data = 1.0 / (1.0 + np.exp(-self.data))
+        data = sigmoid_array(self.data)
 
         def backward(g: Array):
             return (g * data * (1.0 - data),)
@@ -358,6 +399,16 @@ class Tensor:
             return (g.transpose(inverse),)
 
         return Tensor._make(data, (self,), backward)
+
+
+def sigmoid_array(x: Array) -> Array:
+    """The logistic sigmoid of :meth:`Tensor.sigmoid` on a plain array."""
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def relu_array(x: Array) -> Array:
+    """The rectifier of :meth:`Tensor.relu` on a plain array."""
+    return x * (x > 0)
 
 
 def as_tensor(value) -> Tensor:

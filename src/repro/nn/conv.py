@@ -50,8 +50,8 @@ class Conv2D(Module):
         self.weight = Parameter(rng.normal(0.0, init_std, size=(fan_in, out_channels)))
         self.bias = Parameter(np.zeros(out_channels))
 
-    def forward(self, image: Tensor) -> Tensor:
-        height, width, channels = image.shape
+    def _output_size(self, height: int, width: int, channels: int) -> tuple[int, int]:
+        """The valid-mode ``(H', W')`` of an input, after checking it fits."""
         if channels != self.in_channels:
             raise ValueError(f"expected {self.in_channels} channels, got {channels}")
         out_h = height - self.kernel_height + 1
@@ -61,6 +61,11 @@ class Conv2D(Module):
                 "input is smaller than the kernel: "
                 f"({height}, {width}) vs ({self.kernel_height}, {self.kernel_width})"
             )
+        return out_h, out_w
+
+    def forward(self, image: Tensor) -> Tensor:
+        height, width, channels = image.shape
+        out_h, out_w = self._output_size(height, width, channels)
         rows = []
         for i in range(out_h):
             cols = []
@@ -80,15 +85,7 @@ class Conv2D(Module):
         per batch instead of once per image; each row matches :meth:`forward`.
         """
         batch, height, width, channels = images.shape
-        if channels != self.in_channels:
-            raise ValueError(f"expected {self.in_channels} channels, got {channels}")
-        out_h = height - self.kernel_height + 1
-        out_w = width - self.kernel_width + 1
-        if out_h <= 0 or out_w <= 0:
-            raise ValueError(
-                "input is smaller than the kernel: "
-                f"({height}, {width}) vs ({self.kernel_height}, {self.kernel_width})"
-            )
+        out_h, out_w = self._output_size(height, width, channels)
         positions = []
         for i in range(out_h):
             for j in range(out_w):
@@ -96,6 +93,20 @@ class Conv2D(Module):
                 flat = patch.reshape(batch, self.kernel_height * self.kernel_width * channels)
                 positions.append(flat @ self.weight + self.bias)
         grid = stack(positions, axis=1)  # (B, out_h * out_w, C_out)
+        return grid.reshape(batch, out_h, out_w, self.out_channels)
+
+    def infer_batch(self, images: np.ndarray) -> np.ndarray:
+        """Plain-NumPy twin of :meth:`forward_batch` (bit-identical output)."""
+        batch, height, width, channels = images.shape
+        out_h, out_w = self._output_size(height, width, channels)
+        weight, bias = self.weight.data, self.bias.data
+        positions = []
+        for i in range(out_h):
+            for j in range(out_w):
+                patch = images[:, i : i + self.kernel_height, j : j + self.kernel_width, :]
+                flat = patch.reshape(batch, self.kernel_height * self.kernel_width * channels)
+                positions.append(flat @ weight + bias)
+        grid = np.stack(positions, axis=1)
         return grid.reshape(batch, out_h, out_w, self.out_channels)
 
 
@@ -140,4 +151,12 @@ class TemporalConv(Module):
         if width != self.width or channels != 2:
             raise ValueError(f"expected (B, T, {self.width}, 2) input, got {stacked_states.shape}")
         feature_map = self.conv.forward_batch(stacked_states)  # (B, T - kh + 1, 1, width)
+        return feature_map.reshape(batch, steps - self.kernel_height + 1, self.width)
+
+    def infer_batch(self, stacked_states: np.ndarray) -> np.ndarray:
+        """Plain-NumPy twin of :meth:`forward_batch`."""
+        batch, steps, width, channels = stacked_states.shape
+        if width != self.width or channels != 2:
+            raise ValueError(f"expected (B, T, {self.width}, 2) input, got {stacked_states.shape}")
+        feature_map = self.conv.infer_batch(stacked_states)
         return feature_map.reshape(batch, steps - self.kernel_height + 1, self.width)

@@ -4,19 +4,20 @@ The paper's content encoder is a bidirectional LSTM (plus convolution —
 ``BiLSTM-C``); a GRU encoder is a natural lighter-weight alternative that the
 reproduction ships as an extension approach (``BGRU`` in
 :mod:`repro.features.content`).  Interfaces mirror :mod:`repro.nn.recurrent`:
-``forward`` is the scalar ``(T, input_size)`` reference path and
+``forward`` is the scalar ``(T, input_size)`` reference path,
 ``forward_batch`` steps a right-padded ``(B, T, input_size)`` batch with a
 length vector, fusing the gate matmuls into ``(B, ...)`` calls and freezing
-finished rows' states so valid positions match the scalar path.
+finished rows' states so valid positions match the scalar path, and
+``infer_batch`` is its bit-identical plain-NumPy serving twin.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.autograd import Tensor, concatenate, stack
+from repro.nn.autograd import Tensor, concatenate, sigmoid_array, stack
 from repro.nn.module import Module, Parameter
-from repro.nn.recurrent import masked_state, time_mask
+from repro.nn.recurrent import masked_state, masked_state_array, time_mask
 
 
 class GRUCell(Module):
@@ -54,6 +55,19 @@ class GRUCell(Module):
         r_gate = gates[..., n : 2 * n]
         candidate = (x @ self.weight_x_n + (r_gate * h) @ self.weight_h_n + self.bias_n).tanh()
         return z_gate * h + (1.0 - z_gate) * candidate
+
+    def infer(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Plain-NumPy twin of :meth:`forward`."""
+        gates = sigmoid_array(
+            x @ self.weight_x_zr.data + h @ self.weight_h_zr.data + self.bias_zr.data
+        )
+        n = self.hidden_size
+        z_gate = gates[..., 0:n]
+        r_gate = gates[..., n : 2 * n]
+        candidate = np.tanh(
+            x @ self.weight_x_n.data + (r_gate * h) @ self.weight_h_n.data + self.bias_n.data
+        )
+        return z_gate * h + (1.0 + (-z_gate)) * candidate
 
 
 class GRU(Module):
@@ -101,6 +115,21 @@ class GRU(Module):
             outputs[t] = h
         return stack(outputs, axis=1)
 
+    def infer_batch(
+        self, sequence: np.ndarray, lengths: np.ndarray, reverse: bool = False
+    ) -> np.ndarray:
+        """Plain-NumPy twin of :meth:`forward_batch` (see :meth:`LSTM.infer_batch`)."""
+        batch, steps = sequence.shape[0], sequence.shape[1]
+        h = np.zeros((batch, self.hidden_size))
+        mask = time_mask(lengths, steps)
+        all_valid = mask.all(axis=0).tolist()
+        outputs = np.empty((batch, steps, self.hidden_size))
+        for t in range(steps - 1, -1, -1) if reverse else range(steps):
+            h_next = self.cell.infer(sequence[:, t, :], h)
+            h = h_next if all_valid[t] else masked_state_array(h_next, h, mask[:, t])
+            outputs[:, t] = h
+        return outputs
+
 
 class BiGRU(Module):
     """Bidirectional GRU; concatenates forward and backward hidden states.
@@ -133,3 +162,9 @@ class BiGRU(Module):
         forward_states = self.forward_gru.forward_batch(sequence, lengths)
         backward_states = self.backward_gru.forward_batch(sequence, lengths, reverse=True)
         return concatenate([forward_states, backward_states], axis=-1)
+
+    def infer_batch(self, sequence: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Plain-NumPy twin of :meth:`forward_batch`."""
+        forward_states = self.forward_gru.infer_batch(sequence, lengths)
+        backward_states = self.backward_gru.infer_batch(sequence, lengths, reverse=True)
+        return np.concatenate([forward_states, backward_states], axis=-1)

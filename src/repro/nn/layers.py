@@ -4,6 +4,13 @@ The paper initialises every fully-connected layer with Gaussian noise of
 standard deviation 0.01 and stacks ``Linear -> ReLU`` blocks (``Qf``, ``Qe``,
 ``Qe'`` and ``Qc`` layers deep in the featurizer, embeddings and judge); these
 classes provide exactly those pieces.
+
+``infer`` is each serving layer's plain-NumPy twin of ``forward``: the same
+NumPy ops in the same order on ``param.data`` read at call time, so outputs
+are bit-identical to the ``Tensor`` path with no autograd bookkeeping and
+nothing to invalidate after training.  Dropout is skipped.  Inside
+:func:`repro.nn.autograd.inference_mode` :meth:`MLP.forward` computes through
+its twin.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.nn.autograd import Tensor
+from repro.nn.autograd import Tensor, is_inference_mode, relu_array
 from repro.nn.module import Module, Parameter
 
 
@@ -52,12 +59,18 @@ class Linear(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x @ self.weight + self.bias
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return x @ self.weight.data + self.bias.data
+
 
 class ReLU(Module):
     """Rectified linear unit."""
 
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return relu_array(x)
 
 
 class Sigmoid(Module):
@@ -90,10 +103,13 @@ class Dropout(Module):
         self._rng = rng or np.random.default_rng()
 
     def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.keep_prob >= 1.0:
+        if not self.training or self.keep_prob >= 1.0 or is_inference_mode():
             return x
         mask = (self._rng.random(x.shape) < self.keep_prob).astype(np.float64) / self.keep_prob
         return x * Tensor(mask)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return x
 
 
 class Sequential(Module):
@@ -106,6 +122,11 @@ class Sequential(Module):
     def forward(self, x: Tensor) -> Tensor:
         for layer in self.layers:
             x = layer(x)
+        return x
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        for layer in self.layers:
+            x = layer.infer(x)
         return x
 
     def __len__(self) -> int:
@@ -148,10 +169,20 @@ class MLP(Module):
         self.out_features = hidden_sizes[-1]
 
     def forward(self, x: Tensor) -> Tensor:
+        if is_inference_mode():
+            return Tensor(self.infer(x.data))
         return self.net(x)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return self.net.infer(x)
 
 
 def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
-    """Differentiable L2 normalisation along ``axis`` (the paper's ``normalize``)."""
+    """Differentiable L2 normalisation along ``axis`` (the paper's ``normalize``).
+
+    Uses only operators a plain ``np.ndarray`` shares with :class:`Tensor`, so
+    it normalises arrays too, with the same result.
+    """
     norm = ((x * x).sum(axis=axis, keepdims=True) + eps) ** 0.5
     return x / norm
+

@@ -10,7 +10,9 @@ The batched content encoders pool right-padded ``(B, T, N)`` sequences
 instead; :func:`masked_mean_over_time`, :func:`masked_softmax_over_time` and
 :meth:`AttentionPooling.forward_batch` take the ``(B, T)`` validity mask of
 :func:`repro.nn.recurrent.time_mask` and reduce each row over its valid
-positions only, matching the scalar reductions within 1e-9.
+positions only, matching the scalar reductions within 1e-9.  Their
+``*_array`` functions and :meth:`AttentionPooling.infer_batch` are the
+bit-identical plain-NumPy serving twins.
 """
 
 from __future__ import annotations
@@ -55,6 +57,13 @@ def masked_mean_over_time(sequence: Tensor, mask: np.ndarray) -> Tensor:
     return weighted.sum(axis=1) * Tensor((1.0 / counts)[:, None])
 
 
+def masked_mean_over_time_array(sequence: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Plain-NumPy twin of :func:`masked_mean_over_time`."""
+    counts = mask.sum(axis=1)
+    weighted = sequence * mask[:, :, None]
+    return weighted.sum(axis=1) * (1.0 / counts)[:, None]
+
+
 def masked_softmax_over_time(scores: Tensor, mask: np.ndarray) -> Tensor:
     """Softmax over axis 1 of ``(B, T, 1)`` scores, restricted to valid positions.
 
@@ -70,6 +79,15 @@ def masked_softmax_over_time(scores: Tensor, mask: np.ndarray) -> Tensor:
     # inf, and inf * 0 would poison the row with NaN.
     mask_tensor = Tensor(column_mask)
     exponentials = ((scores - Tensor(peaks)) * mask_tensor).exp() * mask_tensor
+    return exponentials / exponentials.sum(axis=1, keepdims=True)
+
+
+def masked_softmax_over_time_array(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Plain-NumPy twin of :func:`masked_softmax_over_time`."""
+    column_mask = mask[:, :, None]
+    finite = np.where(column_mask > 0.0, scores, -np.inf)
+    peaks = finite.max(axis=1, keepdims=True)
+    exponentials = np.exp((scores + (-peaks)) * column_mask) * column_mask
     return exponentials / exponentials.sum(axis=1, keepdims=True)
 
 
@@ -116,6 +134,12 @@ class AttentionPooling(Module):
         """
         scores = self.score(self.projection(sequence).tanh())  # (B, T, 1)
         weights = masked_softmax_over_time(scores, mask)  # (B, T, 1)
+        return (sequence * weights).sum(axis=1)
+
+    def infer_batch(self, sequence: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Plain-NumPy twin of :meth:`forward_batch`."""
+        scores = self.score.infer(np.tanh(self.projection.infer(sequence)))
+        weights = masked_softmax_over_time_array(scores, mask)
         return (sequence * weights).sum(axis=1)
 
 

@@ -6,11 +6,11 @@ bidirectional LSTM (plus a convolution layer on top — ``BiLSTM-C``, see
 ``ConvLSTM`` variant whose input-to-state and state-to-state transitions are
 convolutions.
 
-Every layer offers two forwards:
+Every layer offers three paths:
 
 * ``forward`` — the scalar reference path over one ``(T, M)`` sequence,
   kept as the documented ground truth for the equivalence tests.
-* ``forward_batch`` — the serving/training hot path over a right-padded
+* ``forward_batch`` — the training hot path over a right-padded
   ``(B, T, M)`` batch with a per-row length vector.  Each time step runs one
   fused gate matmul of shape ``(B, 4N)`` instead of ``B`` separate ``(1, 4N)``
   calls, and rows whose sequence has ended keep (forward direction) or have
@@ -18,6 +18,11 @@ Every layer offers two forwards:
   valid positions match the scalar path within 1e-9
   (``tests/nn/test_recurrent_batch.py`` and
   ``tests/features/test_content_batch.py`` pin the contract).
+* ``infer_batch`` — the serving path: the plain-NumPy twin of
+  ``forward_batch``.  It runs the same NumPy ops in the same order on
+  ``param.data`` read at call time, so its outputs are bit-identical to
+  ``forward_batch`` without building ``Tensor`` objects or an autograd graph
+  (``tests/nn/test_inference_twins.py`` pins exact equality).
 
 Positions at or beyond a row's length carry frozen/zero filler states; callers
 must mask them out when pooling (see :mod:`repro.nn.pooling`).
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.autograd import Tensor, concatenate, stack
+from repro.nn.autograd import Tensor, concatenate, sigmoid_array, stack
 from repro.nn.module import Module, Parameter
 
 
@@ -52,6 +57,13 @@ def masked_state(new: Tensor, old: Tensor, column: np.ndarray) -> Tensor:
         return new
     keep = Tensor(column[:, None])
     return new * keep + old * Tensor(1.0 - column[:, None])
+
+
+def masked_state_array(new: np.ndarray, old: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """Plain-NumPy twin of :func:`masked_state`."""
+    if column.all():
+        return new
+    return new * column[:, None] + old * (1.0 - column[:, None])
 
 
 class LSTMCell(Module):
@@ -85,6 +97,18 @@ class LSTMCell(Module):
         o_gate = gates[..., 3 * n : 4 * n].sigmoid()
         c_next = f_gate * c + i_gate * g_gate
         h_next = o_gate * c_next.tanh()
+        return h_next, c_next
+
+    def infer(self, x: np.ndarray, h: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Plain-NumPy twin of :meth:`forward`."""
+        gates = x @ self.weight_x.data + h @ self.weight_h.data + self.bias.data
+        n = self.hidden_size
+        i_gate = sigmoid_array(gates[..., 0:n])
+        f_gate = sigmoid_array(gates[..., n : 2 * n])
+        g_gate = np.tanh(gates[..., 2 * n : 3 * n])
+        o_gate = sigmoid_array(gates[..., 3 * n : 4 * n])
+        c_next = f_gate * c + i_gate * g_gate
+        h_next = o_gate * np.tanh(c_next)
         return h_next, c_next
 
 
@@ -140,6 +164,33 @@ class LSTM(Module):
             c = masked_state(c_next, c, column)
             outputs[t] = h
         return stack(outputs, axis=1)
+
+    def infer_batch(
+        self, sequence: np.ndarray, lengths: np.ndarray, reverse: bool = False
+    ) -> np.ndarray:
+        """Plain-NumPy twin of :meth:`forward_batch`.
+
+        States are written straight into the ``(B, T, hidden)`` output and
+        all-valid steps are found once up front (one ``mask.all`` per
+        sequence instead of two ``column.all()`` calls per step inside
+        :func:`masked_state_array`, which is measurably faster on the
+        all-valid short batches serving sees); neither changes a value.
+        """
+        batch, steps = sequence.shape[0], sequence.shape[1]
+        h = np.zeros((batch, self.hidden_size))
+        c = np.zeros((batch, self.hidden_size))
+        mask = time_mask(lengths, steps)
+        all_valid = mask.all(axis=0).tolist()
+        outputs = np.empty((batch, steps, self.hidden_size))
+        for t in range(steps - 1, -1, -1) if reverse else range(steps):
+            h_next, c_next = self.cell.infer(sequence[:, t, :], h, c)
+            if all_valid[t]:
+                h, c = h_next, c_next
+            else:
+                h = masked_state_array(h_next, h, mask[:, t])
+                c = masked_state_array(c_next, c, mask[:, t])
+            outputs[:, t] = h
+        return outputs
 
 
 class BiLSTM(Module):
@@ -203,6 +254,21 @@ class BiLSTM(Module):
             return stack([fwd, bwd], axis=3)
         return current
 
+    def infer_batch(
+        self, sequence: np.ndarray, lengths: np.ndarray, stacked_channels: bool = False
+    ) -> np.ndarray:
+        """Plain-NumPy twin of :meth:`forward_batch`."""
+        current = sequence
+        fwd = bwd = None
+        for fwd_layer, bwd_layer in zip(self.forward_layers, self.backward_layers):
+            fwd = fwd_layer.infer_batch(current, lengths)
+            bwd = bwd_layer.infer_batch(current, lengths, reverse=True)
+            current = np.concatenate([fwd, bwd], axis=2)
+        assert fwd is not None and bwd is not None
+        if stacked_channels:
+            return np.stack([fwd, bwd], axis=3)
+        return current
+
 
 class ConvLSTMCell(Module):
     """A 1-D ConvLSTM cell (Shi et al., 2015) over the feature dimension.
@@ -262,6 +328,17 @@ class ConvLSTMCell(Module):
             out = out + tap
         return out
 
+    def _conv1d_infer(self, signal: np.ndarray, kernel_row: np.ndarray) -> np.ndarray:
+        """Plain-NumPy twin of :meth:`_conv1d_batch`."""
+        pad = self.kernel_size // 2
+        zeros = np.zeros((signal.shape[0], pad))
+        padded = np.concatenate([zeros, signal, zeros], axis=1)
+        taps = [padded[:, k : k + self.width] * kernel_row[k] for k in range(self.kernel_size)]
+        out = taps[0]
+        for tap in taps[1:]:
+            out = out + tap
+        return out
+
     def forward(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
         """One step over a ``(width,)`` input."""
         i_gate = (self._conv1d(x, self.weight_x[0]) + self._conv1d(h, self.weight_h[0]) + self.bias[0]).sigmoid()
@@ -281,6 +358,20 @@ class ConvLSTMCell(Module):
         o_gate = (conv(x, self.weight_x[3]) + conv(h, self.weight_h[3]) + self.bias[3]).sigmoid()
         c_next = f_gate * c + i_gate * g_gate
         h_next = o_gate * c_next.tanh()
+        return h_next, c_next
+
+    def infer_batch(
+        self, x: np.ndarray, h: np.ndarray, c: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Plain-NumPy twin of :meth:`forward_batch`."""
+        conv = self._conv1d_infer
+        w_x, w_h, bias = self.weight_x.data, self.weight_h.data, self.bias.data
+        i_gate = sigmoid_array(conv(x, w_x[0]) + conv(h, w_h[0]) + bias[0])
+        f_gate = sigmoid_array(conv(x, w_x[1]) + conv(h, w_h[1]) + bias[1])
+        g_gate = np.tanh(conv(x, w_x[2]) + conv(h, w_h[2]) + bias[2])
+        o_gate = sigmoid_array(conv(x, w_x[3]) + conv(h, w_h[3]) + bias[3])
+        c_next = f_gate * c + i_gate * g_gate
+        h_next = o_gate * np.tanh(c_next)
         return h_next, c_next
 
 
@@ -327,3 +418,21 @@ class ConvLSTM(Module):
             c = masked_state(c_next, c, column)
             outputs.append(h)
         return stack(outputs, axis=1)
+
+    def infer_batch(self, sequence: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Plain-NumPy twin of :meth:`forward_batch` (see :meth:`LSTM.infer_batch`)."""
+        batch, steps = sequence.shape[0], sequence.shape[1]
+        h = np.zeros((batch, self.width))
+        c = np.zeros((batch, self.width))
+        mask = time_mask(lengths, steps)
+        all_valid = mask.all(axis=0).tolist()
+        outputs = np.empty((batch, steps, self.width))
+        for t in range(steps):
+            h_next, c_next = self.cell.infer_batch(sequence[:, t, :], h, c)
+            if all_valid[t]:
+                h, c = h_next, c_next
+            else:
+                h = masked_state_array(h_next, h, mask[:, t])
+                c = masked_state_array(c_next, c, mask[:, t])
+            outputs[:, t] = h
+        return outputs

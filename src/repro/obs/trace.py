@@ -11,7 +11,8 @@ stage          measured where
 queue_wait     :class:`repro.cluster.MicroBatcher` — enqueue → flush pickup
 gather         ``JudgementCore`` — feature resolution for one request
 featurize      inside gather — the cache-miss featurization batch
-score          ``JudgementCore`` — the single batched scorer call
+score          ``JudgementCore`` — the single batched scorer call and the
+               decisions cut from its scores
 wire_serialize :class:`repro.cluster.WorkerPool` — building CALL frame bodies
 wire_rtt       ``WorkerPool`` — gather fan-out round-trip (includes the
                worker-side gather/featurize it encloses)
@@ -37,9 +38,9 @@ overhead guarantee the benchmarks enforce.
 from __future__ import annotations
 
 import itertools
+import random
 import threading
 import time
-import uuid
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -77,6 +78,11 @@ STORE_EVENTS = frozenset({EVENT_HOT_HIT, EVENT_COLD_HIT, EVENT_PROMOTE, EVENT_DE
 
 STAGE_METRIC = "repro_stage_latency_ms"
 STORE_EVENT_METRIC = "repro_store_event_ms"
+
+#: Source of fresh trace ids: a private generator (seeded from the OS at
+#: import, untouched by ``random.seed``) draws a 64-bit id without the
+#: syscall and object construction ``uuid.uuid4`` costs on every request.
+_TRACE_IDS = random.Random()
 
 
 @dataclass(frozen=True)
@@ -216,6 +222,35 @@ class _StageTimer:
         return False
 
 
+def _child(family, children: dict, value: str):
+    """The child of one-label ``family`` for ``value``, memoised in ``children``."""
+    child = children.get(value)
+    if child is None:
+        child = children[value] = family.labels(**{family.label_names[0]: value})
+    return child
+
+
+class _Activation:
+    """Context manager behind :meth:`Tracer.activate` (a class, not a
+    generator: it runs on every traced request)."""
+
+    __slots__ = ("_trace", "_token")
+
+    def __init__(self, trace: Trace | None):
+        self._trace = trace
+        self._token = None
+
+    def __enter__(self) -> Trace | None:
+        if self._trace is not None:
+            self._token = _ACTIVE.set((self._trace, None))
+        return self._trace
+
+    def __exit__(self, *exc_info) -> bool:
+        if self._token is not None:
+            _ACTIVE.reset(self._token)
+        return False
+
+
 class Tracer:
     """The tracing front end: stage timers, trace lifecycle, slow hooks.
 
@@ -248,6 +283,10 @@ class Tracer:
             labels=("stage",),
             buckets=DEFAULT_LATENCY_BUCKETS_MS,
         )
+        #: label value -> histogram child, so an observation skips the label
+        #: validation and family lock of ``labels()``.
+        self._stage_children: dict[str, object] = {}
+        self._event_children: dict[str, object] = {}
         self._event_family = self.registry.histogram(
             STORE_EVENT_METRIC,
             "Feature-store tier event latency (milliseconds)",
@@ -263,7 +302,7 @@ class Tracer:
         return _StageTimer(self, name)
 
     def _observe_stage(self, name: str, duration_ms: float) -> None:
-        self._stage_family.labels(stage=name).observe(duration_ms)
+        _child(self._stage_family, self._stage_children, name).observe(duration_ms)
 
     def record_stage(
         self,
@@ -286,28 +325,20 @@ class Tracer:
 
     def record_event(self, event: str, duration_ms: float) -> None:
         """Record a store-tier event latency (registry-only)."""
-        self._event_family.labels(event=event).observe(duration_ms)
+        _child(self._event_family, self._event_children, event).observe(duration_ms)
 
     # ------------------------------------------------------------------ traces
     def start_trace(self, trace_id: str | None = None) -> Trace:
         """A fresh trace (not yet active); pass ``trace_id`` to adopt one."""
-        return Trace(trace_id or uuid.uuid4().hex[:16], self.clock)
+        return Trace(trace_id or f"{_TRACE_IDS.getrandbits(64):016x}", self.clock)
 
-    @contextmanager
-    def activate(self, trace: Trace | None):
+    def activate(self, trace: Trace | None) -> "_Activation":
         """Make ``trace`` current for the enclosed block (``None`` = no-op).
 
         Activation rides a ``ContextVar`` and therefore does *not* cross
         thread boundaries — re-activate explicitly inside worker threads.
         """
-        if trace is None:
-            yield None
-            return
-        token = _ACTIVE.set((trace, None))
-        try:
-            yield trace
-        finally:
-            _ACTIVE.reset(token)
+        return _Activation(trace)
 
     def current_trace(self) -> Trace | None:
         active = _ACTIVE.get()

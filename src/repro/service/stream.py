@@ -20,6 +20,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from repro.data.records import Pair, Profile, Tweet, Visit
 from repro.errors import DataGenerationError
 from repro.features.history import HistoryDeltaTracker
@@ -283,9 +285,10 @@ class StreamScorer:
         if not candidates:
             return []
         probabilities = self.engine.predict_proba(candidates)
+        # One tolist() instead of a float() per pair: same Python floats.
         return [
-            ScoredPair(pair=pair, probability=float(probability))
-            for pair, probability in zip(candidates, probabilities)
+            ScoredPair(pair, probability)
+            for pair, probability in zip(candidates, np.asarray(probabilities).tolist())
         ]
 
     def process_many(self, tweets: list[Tweet]) -> list[ScoredPair]:
@@ -316,12 +319,9 @@ class StreamScorer:
             flat = [pair for group in groups for pair in group]
             if not flat:
                 continue
-            probabilities = self.engine.predict_proba(flat)
-            offset = 0
-            for group in groups:
-                for pair in group:
-                    scored.append(
-                        ScoredPair(pair=pair, probability=float(probabilities[offset]))
-                    )
-                    offset += 1
+            probabilities = np.asarray(self.engine.predict_proba(flat)).tolist()
+            scored.extend(
+                ScoredPair(pair, probability)
+                for pair, probability in zip(flat, probabilities)
+            )
         return scored

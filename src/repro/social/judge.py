@@ -18,7 +18,14 @@ import numpy as np
 from repro.core.protocols import pairwise_probability_matrix
 from repro.data.records import Pair, Profile
 from repro.errors import NotFittedError, TrainingError
-from repro.nn import Adam, Linear, Tensor, binary_cross_entropy_with_logits, clip_grad_norm
+from repro.nn import (
+    Adam,
+    Linear,
+    Tensor,
+    binary_cross_entropy_with_logits,
+    clip_grad_norm,
+    inference_mode,
+)
 from repro.social.features import SocialFeatureExtractor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -137,7 +144,9 @@ class SocialCoLocationJudge:
         self._require_fitted()
         if not pairs:
             return np.zeros(0)
-        logits = self.stacker(Tensor(self._design_matrix(pairs))).data.reshape(-1)
+        design = self._design_matrix(pairs)
+        with inference_mode():
+            logits = self.stacker(Tensor(design)).data.reshape(-1)
         return 1.0 / (1.0 + np.exp(-logits))
 
     def predict(self, pairs: list[Pair]) -> np.ndarray:
