@@ -16,8 +16,10 @@ stubs) still work: the engine falls back to their ``predict_proba`` and the
 generic pairwise matrix.
 
 Decision and serving logic itself lives in :class:`repro.api.JudgementCore`
-— shared verbatim with :class:`repro.cluster.ShardedEngine`, so the two
-transports cannot diverge.  The engine contributes the feature cache (its
+— the one object every transport runs (this engine, the partitioned
+:class:`repro.cluster.ShardedEngine` and :class:`repro.cluster.WorkerPool`,
+and the :class:`repro.cluster.MicroBatcher` over any of them), so they cannot
+diverge.  The engine contributes the feature cache (its
 ``_resolve_features`` is the core's ``gather``) and the chunk-canonical
 ``_score_batched`` scorer.
 """
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import os
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -364,34 +365,6 @@ class ColocationEngine:
         close = getattr(self.store, "close", None)
         if close is not None:
             close()
-
-    def export_cache(self) -> dict[ProfileKey, np.ndarray]:
-        """Deprecated: use ``engine.store.export()``.
-
-        The snapshot half of wire warm-start, kept as a shim over the store
-        so existing callers survive the extraction.
-        """
-        warnings.warn(
-            "ColocationEngine.export_cache() is deprecated; use engine.store.export()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.store.export()
-
-    def import_cache(self, rows: dict[ProfileKey, np.ndarray]) -> int:
-        """Deprecated: use ``engine.store.import_rows()``.
-
-        Imported rows count as neither hits nor misses (they were computed
-        by another engine); the hot-tier bound still applies, so importing
-        more rows than ``cache_size`` keeps only the hottest (last-iterated)
-        tail of the export.  Returns imported rows still resident.
-        """
-        warnings.warn(
-            "ColocationEngine.import_cache() is deprecated; use engine.store.import_rows()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.store.import_rows(rows)
 
     # -------------------------------------------------------------- judgement
     def _score_batched(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:

@@ -1,21 +1,23 @@
 """``repro.cluster`` — sharded, micro-batched serving over the engine.
 
 PRs 2–3 made every per-profile cost batch-capable; this subsystem turns those
-batch kernels into *concurrent throughput*.  Three pieces compose:
+batch kernels into *concurrent throughput*.  The pieces compose:
 
-* :class:`ShardedEngine` — N hash-partitioned :class:`repro.api.ColocationEngine`
-  shards, each owning a disjoint slice of users and its own bounded feature
-  cache; feature gathering fans out across shards on a thread pool, and pair
-  scoring reuses the engine's exact chunking so results are bit-for-bit the
-  single engine's.  Shard caches snapshot/restore for worker warm-start.
-* :class:`WorkerPool` — the process tier: ``num_workers`` worker *processes*
-  (:mod:`repro.cluster.worker`), each rebuilt from the fitted judge via the
-  save/load bundle and owning a hash slice of the user population, behind an
-  asyncio gateway speaking the length-prefixed binary protocol of
+* :class:`ShardedEngine` and :class:`WorkerPool` — one partitioned engine
+  (:class:`repro.cluster.sharded.PartitionedEngine`) over two kinds of shard.
+  Each shard owns a disjoint hash slice of users and its own bounded feature
+  cache; the engine routes, deduplicates per owner, fans gathers out
+  concurrently and scatters the rows back, and pair scoring reuses the
+  engine's exact chunking so results are bit-for-bit the single engine's.
+  Shard caches snapshot/restore for warm-start.  A :class:`ShardedEngine`
+  shard is an in-process engine driven by its own thread.  A
+  :class:`WorkerPool` shard is a worker *process* (:mod:`repro.cluster.worker`)
+  rebuilt from the fitted judge via the save/load bundle, behind an asyncio
+  gateway speaking the length-prefixed binary protocol of
   :mod:`repro.cluster.wire` (JSON bodies + raw numpy payloads — no pickle on
-  the hot path).  Feature gathers fan out across worker sockets concurrently,
-  so featurization escapes the GIL; worker death fails pending calls fast
-  with :class:`repro.errors.WorkerCrashError` and can respawn-with-restore.
+  the hot path), so featurization escapes the GIL; worker death fails
+  pending calls fast with :class:`repro.errors.WorkerCrashError` and can
+  respawn-with-restore.
 * :class:`MicroBatcher` — an async request coalescer: concurrent ``score`` /
   ``probability_matrix`` / ``warm`` / typed ``serve`` requests accumulate up
   to ``max_batch``/``max_delay_ms`` and flush as one featurize+score call

@@ -1,31 +1,29 @@
 """:class:`WorkerPool` — the process-worker tier behind an asyncio gateway.
 
-The third serving tier.  :class:`repro.api.ColocationEngine` is one process,
+:class:`repro.api.ColocationEngine` is one process, and
 :class:`repro.cluster.ShardedEngine` is one process with shard threads — both
 sit under the GIL, so featurization never runs truly in parallel.  The pool
-spawns ``num_workers`` **worker processes** (:mod:`repro.cluster.worker`),
-each rebuilt from the fitted judge via the save/load bundle and owning one
-hash slice of the user population (the same :func:`repro.cluster.shard_index`
-routing the thread tier uses, so a thread shard and a process worker agree on
-ownership), and fronts them with an asyncio event loop that fans each batch's
-feature gather out across worker sockets concurrently.
+is the same :class:`repro.cluster.sharded.PartitionedEngine` over a different
+kind of shard: it spawns ``num_workers`` **worker processes**
+(:mod:`repro.cluster.worker`), each rebuilt from the fitted judge via the
+save/load bundle and owning one hash slice of the user population (the same
+:func:`repro.cluster.shard_index` routing, so a thread shard and a process
+worker agree on ownership), and fronts them with an asyncio event loop that
+fans each batch's feature gather out across worker sockets concurrently.
 
-**One decision path, now four transports.**  The pool does not reimplement
-judgement: it instantiates the same :class:`repro.api.JudgementCore` the
-other tiers run, parameterized on a *wire* gather (profiles JSON out, raw
-numpy feature rows back — deduplicated per owner before they touch a socket)
-and the local judge's chunk-canonical scorer.  Featurization — the CPU-bound
-cost — parallelises across processes; scoring, a small batched matmul, runs
-in the gateway.  Because the worker's loaded pipeline restores bitwise-exact,
-``WorkerPool.predict_proba`` matches the single engine bit-for-bit, and every
-surface (``predict_proba`` / ``predict`` / ``probability_matrix`` / ``serve``
-/ ``serve_batch`` / ``warm`` / ``features`` / ``cache_info`` / ``threshold``)
-is the engine surface — ``resolve_engine`` passes a pool through and any
-:mod:`repro.service` application, or a :class:`repro.cluster.MicroBatcher`,
-can sit on top unchanged.  Cache invalidation is a first-class surface too:
-:meth:`WorkerPool.invalidate` routes ``INVALIDATE`` frames to owner workers
-and purges the gateway's retained warm-start rows, so neither a live worker
-nor a respawned one can serve a superseded profile revision.
+**One decision path, four transports.**  Routing, per-owner deduplication,
+the fan-out, the cache-admin surface and the :class:`repro.api.JudgementCore`
+delegations are the partitioned engine's; this module adds only the wire
+shard (profiles JSON out, raw numpy feature rows back) and the process
+lifecycle.  Featurization — the CPU-bound cost — parallelises across
+processes; scoring, a small batched matmul, runs in the gateway.  Because the
+worker's loaded pipeline restores bitwise-exact, ``WorkerPool.predict_proba``
+matches the single engine bit-for-bit, ``resolve_engine`` passes a pool
+through, and any :mod:`repro.service` application, or a
+:class:`repro.cluster.MicroBatcher`, can sit on top unchanged.  Cache
+invalidation routes ``INVALIDATE`` frames to owner workers and purges the
+gateway's retained warm-start rows, so neither a live worker nor a respawned
+one can serve a superseded profile revision.
 
 **Failure model.**  A worker dying (crash, kill, broken socket) fails the
 call in flight — and every call queued behind it — *promptly* with
@@ -47,25 +45,21 @@ import multiprocessing
 import secrets
 import tempfile
 import threading
+from concurrent.futures import Future
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable
 
 import numpy as np
 
-from repro.api.core import CallCacheStats, JudgementCore, NO_CACHE_TRAFFIC
+from repro.api.core import CallCacheStats
 from repro.api.engine import ColocationEngine, EngineCacheInfo
-from repro.api.messages import JudgeRequest, JudgeResponse
 from repro.cluster import wire
 from repro.cluster.metrics import ClusterMetrics
-from repro.cluster.sharded import route_snapshot_rows, shard_arena_dir, shard_index
+from repro.cluster.sharded import PartitionedEngine, shard_arena_dir, split_budget
 from repro.cluster.worker import save_judge_bundle, worker_main
-from repro.core.protocols import (
-    ProfileKey,
-    key_revision,
-    profile_key,
-    superseded_keys,
-)
-from repro.data.records import Pair, Profile
+from repro.core.protocols import ProfileKey, superseded_keys
+from repro.data.records import Profile
 from repro.errors import ConfigurationError, WireProtocolError, WorkerCrashError
 from repro.obs import (
     STAGE_WIRE_RTT,
@@ -76,6 +70,9 @@ from repro.obs import (
 
 #: How long a HELLO handshake may take once a connection is accepted.
 _HELLO_TIMEOUT = 30.0
+
+#: What a dead or stalled worker reports: an empty cache, not a failure.
+_NO_CACHE = EngineCacheInfo(hits=0, misses=0, evictions=0, size=0, maxsize=0, featurized=0)
 
 
 @dataclass
@@ -94,7 +91,140 @@ class _WorkerHandle:
     alive: bool = True
 
 
-class WorkerPool:
+def _profile_dicts(profiles: list[Profile]) -> list[dict]:
+    from repro.io.records_json import profile_to_dict
+
+    return [profile_to_dict(profile) for profile in profiles]
+
+
+def _restore_payload(rows: dict[ProfileKey, np.ndarray]) -> tuple[dict, tuple]:
+    """The ``restore`` CALL body and arrays that ship ``rows`` to a worker."""
+    return {"keys": wire.encode_keys(rows)}, ((np.stack(list(rows.values())),) if rows else ())
+
+
+def _gather_reply(owner: int, sent: int, reply, trace) -> tuple[np.ndarray, CallCacheStats]:
+    """One worker's ``gather`` RESULT as rows plus that worker's cache traffic.
+
+    The RESULT names the indices of the profiles the worker featurized
+    (``missed``); a reply whose rows or indices do not fit the ``sent``
+    profiles is malformed, not silently misattributed.  Spans the worker
+    recorded under the caller's trace id merge back into ``trace``.
+    """
+    body, arrays = reply
+    if trace is not None:
+        for span in body.get("spans", ()):
+            if isinstance(span, (list, tuple)) and len(span) == 2:
+                trace.add(str(span[0]), float(span[1]))
+    rows = arrays[0]
+    if len(rows) != sent:
+        raise WireProtocolError(f"worker {owner} returned {len(rows)} rows for {sent} profiles")
+    missed = tuple(int(i) for i in body["missed"])
+    if any(not 0 <= i < sent for i in missed):
+        raise WireProtocolError(
+            f"worker {owner} reported a missed index outside its {sent} profiles"
+        )
+    stats = CallCacheStats(
+        hits=int(body["hits"]),
+        misses=int(body["misses"]),
+        featurized=int(body["featurized"]),
+        invalidated=int(body.get("invalidated", 0)),
+        missed=missed,
+    )
+    return rows, stats
+
+
+class _WorkerShard:
+    """One worker index as a partitioned-engine shard: wire calls to it.
+
+    Every call resolves the live handle through the pool, so a respawned
+    worker keeps serving the same shard.  The shard also retains the rows
+    last exported from or imported into it, to warm-start a respawn.
+    """
+
+    def __init__(self, pool: "WorkerPool", index: int):
+        self.pool = pool
+        self.index = index
+        #: Rows to warm-start a respawned worker with — refreshed by
+        #: export() and import_rows(), purged by invalidation.
+        self.retained: dict[ProfileKey, np.ndarray] | None = None
+
+    def submit(self, op: str, body: dict, arrays=(), frame: int = wire.FRAME_CALL) -> Future:
+        handle = self.pool._ensure_worker(self.index)
+        return asyncio.run_coroutine_threadsafe(
+            self.pool._request(handle, op, body, arrays, frame=frame), self.pool._loop
+        )
+
+    def call(self, op: str, body: dict, arrays=(), frame: int = wire.FRAME_CALL):
+        return self.submit(op, body, arrays, frame).result(self.pool.call_timeout)
+
+    def submit_warm(self, profiles: list[Profile]) -> Future:
+        handle = self.pool._ensure_worker(self.index)
+        body = {"profiles": _profile_dicts(profiles)}
+
+        async def warm() -> int:
+            reply, _ = await self.pool._request(handle, "warm", body)
+            return int(reply["featurized"])
+
+        return asyncio.run_coroutine_threadsafe(warm(), self.pool._loop)
+
+    def cache_info(self) -> EngineCacheInfo:
+        """This worker's cache statistics, or an all-zero entry for a dead one.
+
+        This is the surface ``ClusterMetrics`` reads, and the moment after
+        an incident is exactly when the report must still render.  A worker
+        the heartbeat marks unhealthy is not asked at all — a stalled worker
+        would block the report on the incident it is reporting.
+        """
+        if self.pool._healthy[self.index]:
+            try:
+                body, _ = self.call("cache_info", {})
+                return EngineCacheInfo(**body)
+            except (WorkerCrashError, ConfigurationError):
+                pass
+        return _NO_CACHE
+
+    def invalidate(self, uids: list[int]) -> int:
+        if self.retained:
+            drop = set(uids)
+            for key in [k for k in self.retained if k[0] in drop]:
+                del self.retained[key]
+        return self._invalidate({"uids": uids})
+
+    def invalidate_stale(self) -> int:
+        if self.retained:
+            for key in superseded_keys(self.retained):
+                self.retained.pop(key, None)
+        return self._invalidate({"stale": True})
+
+    def _invalidate(self, body: dict) -> int:
+        """One INVALIDATE frame; rows dropped in the worker.
+
+        A dead worker answers 0 rather than failing the sweep: its retained
+        warm-start rows were already purged gateway-side, which is the part
+        that matters — a respawn cannot resurrect the stale rows.
+        """
+        try:
+            response, _ = self.call("invalidate", body, frame=wire.FRAME_INVALIDATE)
+        except WorkerCrashError:
+            return 0
+        return int(response.get("invalidated", 0))
+
+    def export(self) -> dict[ProfileKey, np.ndarray]:
+        body, arrays = self.call("snapshot", {})
+        rows = arrays[0] if arrays else ()
+        self.retained = {
+            key: np.array(row, copy=True)
+            for key, row in zip(wire.decode_keys(body["keys"]), rows)
+        }
+        return dict(self.retained)
+
+    def import_rows(self, rows: dict[ProfileKey, np.ndarray]) -> int:
+        self.retained = {key: np.array(row, copy=True) for key, row in rows.items()}
+        body, _ = self.call("restore", *_restore_payload(rows))
+        return int(body["imported"])
+
+
+class WorkerPool(PartitionedEngine):
     """Serve a fitted judge across hash-partitioned worker *processes*.
 
     Parameters
@@ -110,8 +240,7 @@ class WorkerPool:
         **Total** feature-row budget, split evenly across workers — the same
         fairness rule as :class:`repro.cluster.ShardedEngine`.
     threshold / batch_size:
-        As on :class:`ColocationEngine`; both also forwarded to the workers
-        so their direct wire surface decides identically.
+        As on :class:`ColocationEngine`; both also forwarded to the workers.
     respawn:
         Respawn a dead worker on the next call routed to it, warm-started
         from the rows most recently seen by :meth:`snapshot`/:meth:`restore`.
@@ -125,9 +254,6 @@ class WorkerPool:
         Seconds to wait for a spawned worker's HELLO before giving up.
     call_timeout:
         Optional bound on any single wire call (``None`` waits).
-    bundle_dir:
-        Reuse an existing :func:`save_judge_bundle` directory instead of
-        writing a fresh one (the pool then does not delete it on close).
     arena_dir:
         Optional cold-tier root: each worker tiers its cache onto a memmap
         arena slice ``arena_dir/worker-NNN``.  A respawned worker then
@@ -160,53 +286,33 @@ class WorkerPool:
         metrics: ClusterMetrics | None = None,
         start_timeout: float = 120.0,
         call_timeout: float | None = None,
-        bundle_dir: str | None = None,
         arena_dir: str | None = None,
         heartbeat_interval_ms: float | None = None,
         heartbeat_timeout_ms: float | None = None,
     ):
-        if num_workers < 1:
-            raise ConfigurationError("num_workers must be >= 1")
-        if cache_size < 0:
-            raise ConfigurationError("cache_size must be >= 0")
+        self._worker_cache_sizes = split_budget(cache_size, num_workers, "num_workers")
         if heartbeat_interval_ms is not None and heartbeat_interval_ms <= 0:
             raise ConfigurationError("heartbeat_interval_ms must be > 0")
-        self.judge = judge
         self.num_workers = num_workers
-        self.cache_size = cache_size
-        self.batch_size = batch_size
         self.respawn = respawn
         self.arena_dir = arena_dir
         self.start_timeout = start_timeout
         self.call_timeout = call_timeout
         self.metrics = metrics if metrics is not None else ClusterMetrics(self)
-        base, extra = divmod(cache_size, num_workers)
-        self._worker_cache_sizes = [
-            base + (1 if index < extra else 0) for index in range(num_workers)
-        ]
         self._explicit_threshold = threshold
-        #: Scorer + empty-shape + registry duties, never featurization: the
-        #: local engine's cache is disabled because feature rows live in the
-        #: workers.  Also validates ``threshold``/``batch_size``.
-        self._local = ColocationEngine(
-            judge, cache_size=0, threshold=threshold, batch_size=batch_size
-        )
-        #: The shared decision/serve logic — the same object every other
-        #: transport runs, over this pool's wire gather and the local
-        #: chunk-canonical scorer.
-        self._core = JudgementCore(
+        # The local engine scores, shapes empty results and answers the
+        # registry, never featurizes: its cache is disabled because feature
+        # rows live in the workers.  It also validates threshold/batch_size.
+        super().__init__(
             judge,
-            gather=self._resolve_features,
-            scorer=self._local._score_batched,
-            explicit_threshold=threshold,
-            fallback_judge=judge,
+            [_WorkerShard(self, index) for index in range(num_workers)],
+            local=ColocationEngine(
+                judge, cache_size=0, threshold=threshold, batch_size=batch_size
+            ),
+            threshold=threshold,
+            cache_size=cache_size,
         )
-        #: Rows to warm-start a respawned worker with, per worker index —
-        #: refreshed by snapshot() and restore().
-        self._retained: list[dict[ProfileKey, np.ndarray] | None] = [None] * num_workers
         self._respawn_locks = [threading.Lock() for _ in range(num_workers)]
-        self._close_lock = threading.Lock()
-        self._closed = False
         self._generation = 0
         self._hello_waiters: dict[str, asyncio.Future] = {}
         self._mp = multiprocessing.get_context("spawn")
@@ -221,13 +327,9 @@ class WorkerPool:
         self._healthy = [True] * num_workers
         self._heartbeat_future = None
 
-        if bundle_dir is not None:
-            self._tmpdir = None
-            self._bundle_dir = str(bundle_dir)
-        else:
-            self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-worker-pool-")
-            self._bundle_dir = self._tmpdir.name
-            save_judge_bundle(judge, self._bundle_dir)
+        self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-worker-pool-")
+        self._bundle_dir = self._tmpdir.name
+        save_judge_bundle(judge, self._bundle_dir)
 
         # The asyncio gateway: one event loop on a daemon thread, one
         # listening socket workers dial back into.
@@ -250,9 +352,13 @@ class WorkerPool:
         except BaseException:
             self._closed = True
             self._teardown_loop()
-            if self._tmpdir is not None:
-                self._tmpdir.cleanup()
+            self._tmpdir.cleanup()
             raise
+
+    #: A worker is the process-tier shard: the pool's names for the
+    #: partitioned engine's owner routing and per-shard cache statistics.
+    worker_of = PartitionedEngine.shard_of
+    worker_cache_infos = PartitionedEngine.shard_cache_infos
 
     # ------------------------------------------------------------ loop plumbing
     def _run(self, coroutine, timeout: float | None = None):
@@ -358,25 +464,16 @@ class WorkerPool:
             # With an arena the respawned worker already mapped its slice —
             # its warm set came off disk, not the wire.  The retained-row
             # reship below is the no-arena fallback.
-            retained = self._retained[index]
+            retained = self._shards[index].retained
             if retained and self.arena_dir is None:
                 try:
-                    self._request_sync(
-                        replacement,
-                        "restore",
-                        self._restore_body(retained),
-                        (np.stack(list(retained.values())),),
+                    self._run(
+                        self._request(replacement, "restore", *_restore_payload(retained)),
+                        self.call_timeout,
                     )
                 except Exception:
                     pass  # a cold respawned worker is still a working worker
             return replacement
-
-    def _observe(self, hook: str, *args) -> None:
-        """Metrics must never break serving (mirrors MicroBatcher._observe)."""
-        try:
-            getattr(self.metrics, hook)(*args)
-        except Exception:
-            pass
 
     def _note_death(self, handle: _WorkerHandle, cause: Exception | None) -> None:
         """Mark a connection dead exactly once; close it and count the loss."""
@@ -446,190 +543,42 @@ class WorkerPool:
             ) from exc
         return wire.decode_payload(response)
 
-    def _request_sync(
-        self,
-        handle: _WorkerHandle,
-        op: str,
-        body: dict,
-        arrays=(),
-        frame: int = wire.FRAME_CALL,
-    ):
-        return asyncio.run_coroutine_threadsafe(
-            self._request(handle, op, body, arrays, frame=frame), self._loop
-        ).result(self.call_timeout)
-
     def _call(self, index: int, op: str, body: dict, arrays=()):
-        return self._request_sync(self._ensure_worker(index), op, body, arrays)
+        return self._shards[index].call(op, body, arrays)
 
     def _call_all(self, calls: list[tuple[int, str, dict, tuple]]) -> list:
-        """Fan calls out concurrently; wait for *all* before raising the first
-        failure, so no coroutine is abandoned mid-socket."""
-        handles = [self._ensure_worker(index) for index, _, _, _ in calls]
-        futures = [
-            asyncio.run_coroutine_threadsafe(
-                self._request(handle, op, body, arrays), self._loop
-            )
-            for handle, (_, op, body, arrays) in zip(handles, calls)
-        ]
-        results: list = []
-        first_error: BaseException | None = None
-        for future in futures:
-            try:
-                results.append(future.result(self.call_timeout))
-            except BaseException as exc:
-                if first_error is None:
-                    first_error = exc
-                results.append(None)
-        if first_error is not None:
-            raise first_error
-        return results
+        """Fan ``(worker, op, body, arrays)`` calls out concurrently."""
+        return self._fan_out(
+            partial(self._shards[index].submit, op, body, arrays)
+            for index, op, body, arrays in calls
+        )
 
-    # ----------------------------------------------------------- feature path
-    def worker_of(self, profile: Profile) -> int:
-        """The index of the worker owning this profile's user."""
-        return shard_index(profile_key(profile), self.num_workers)
-
-    def _resolve_features(self, profiles: list[Profile]) -> tuple[np.ndarray, CallCacheStats]:
-        """Feature rows gathered from each profile's owner worker, in parallel.
-
-        Profiles deduplicate per owner group *before* hitting the wire (the
-        query side of a pair batch repeats heavily), so a profile's JSON
-        crosses a socket once per call; rows expand back by key on return.
-        Stats sum the workers' own per-call accounting; each worker's RESULT
-        names the indices of the profiles it featurized (``missed``), mapped
-        back here onto ``profiles``.
+    def _gather_owners(
+        self, batches: list[tuple[int, list[Profile]]], trace
+    ) -> list[tuple[np.ndarray, CallCacheStats]]:
+        """One ``gather`` CALL per owner worker, all in flight at once.
 
         With tracing enabled, body serialization is the ``wire_serialize``
-        stage and the fan-out is ``wire_rtt`` (which *contains* the worker's
-        own gather/featurize time); the active trace's id rides each CALL
-        body, and the spans the workers recorded under it are merged back.
+        stage and the fan-out is ``wire_rtt`` (which *contains* the workers'
+        own gather/featurize time) — one span each per gather, however many
+        workers it touches; the active trace's id rides each CALL body.
         """
-        from repro.io.records_json import profile_to_dict
-
-        if not profiles:
-            return self._local.features([]), NO_CACHE_TRAFFIC
         tracer = get_tracer()
-        trace = tracer.current_trace() if tracer.enabled else None
-        groups: dict[int, list[int]] = {}
-        for position, profile in enumerate(profiles):
-            groups.setdefault(self.worker_of(profile), []).append(position)
         with tracer.stage(STAGE_WIRE_SERIALIZE):
-            plans = []
-            for owner, positions in groups.items():
-                unique: dict[ProfileKey, int] = {}
-                sent: list[int] = []  # position of each profile sent
-                row_of: list[int] = []
-                for position in positions:
-                    key = profile_key(profiles[position])
-                    if key not in unique:
-                        unique[key] = len(sent)
-                        sent.append(position)
-                    row_of.append(unique[key])
-                plans.append((owner, positions, row_of, sent))
             calls = []
-            for owner, _, _, sent in plans:
-                body = {"profiles": [profile_to_dict(profiles[i]) for i in sent]}
+            for owner, group in batches:
+                body = {"profiles": _profile_dicts(group)}
                 if trace is not None:
                     body["trace"] = trace.trace_id
                 calls.append((owner, "gather", body, ()))
         with tracer.stage(STAGE_WIRE_RTT):
-            results = self._call_all(calls)
-        rows: np.ndarray | None = None
-        parts = []
-        for (owner, positions, row_of, sent), (body, arrays) in zip(plans, results):
-            if trace is not None:
-                for span in body.get("spans", ()):
-                    if isinstance(span, (list, tuple)) and len(span) == 2:
-                        trace.add(str(span[0]), float(span[1]))
-            worker_rows = arrays[0]
-            if len(worker_rows) != len(sent):
-                raise WireProtocolError(
-                    f"worker {owner} returned {len(worker_rows)} rows for {len(sent)} profiles"
-                )
-            missed = tuple(int(i) for i in body["missed"])
-            if any(not 0 <= i < len(sent) for i in missed):
-                raise WireProtocolError(
-                    f"worker {owner} reported a missed index outside its {len(sent)} profiles"
-                )
-            stats = CallCacheStats(
-                hits=int(body["hits"]),
-                misses=int(body["misses"]),
-                featurized=int(body["featurized"]),
-                invalidated=int(body.get("invalidated", 0)),
-                missed=missed,
-            )
-            parts.append((stats, sent))
-            if rows is None:
-                rows = np.empty(
-                    (len(profiles), worker_rows.shape[1]), dtype=worker_rows.dtype
-                )
-            rows[positions] = worker_rows[row_of]
-        assert rows is not None
-        return rows, CallCacheStats.merge(parts)
+            replies = self._call_all(calls)
+        return [
+            _gather_reply(owner, len(group), reply, trace)
+            for (owner, group), reply in zip(batches, replies)
+        ]
 
-    def warm(self, profiles: list[Profile]) -> int:
-        """Pre-featurize profiles into their owner workers; returns rows featurized."""
-        if not profiles or not self._core.feature_space:
-            return 0
-        from repro.io.records_json import profile_to_dict
-
-        groups: dict[int, list[Profile]] = {}
-        for profile in profiles:
-            groups.setdefault(self.worker_of(profile), []).append(profile)
-        results = self._call_all(
-            [
-                (owner, "warm", {"profiles": [profile_to_dict(p) for p in group]}, ())
-                for owner, group in groups.items()
-            ]
-        )
-        return sum(int(body["featurized"]) for body, _ in results)
-
-    def features(self, profiles: list[Profile]) -> np.ndarray:
-        """Cached frozen feature rows for profiles (gathered across workers)."""
-        if not self._core.feature_space:
-            raise ConfigurationError(
-                "the wrapped judge has no feature-level interface (FeatureSpaceJudge)"
-            )
-        if not profiles:
-            return self._local.features([])
-        rows, _ = self._resolve_features(profiles)
-        return rows
-
-    # ------------------------------------------------------------- cache admin
-    def cache_info(self) -> EngineCacheInfo:
-        """Pool-level cache statistics (all workers merged)."""
-        return EngineCacheInfo.merge(self.worker_cache_infos())
-
-    def worker_cache_infos(self) -> tuple[EngineCacheInfo, ...]:
-        """Per-worker cache statistics, index-aligned with the workers.
-
-        A dead (or closed-away) worker contributes an all-zero entry instead
-        of failing the report: this is the surface ``ClusterMetrics`` reads,
-        and the moment after an incident is exactly when the operator needs
-        the snapshot to still render.  A worker the heartbeat currently marks
-        unhealthy gets the same treatment *without* a wire call — a stalled
-        worker would block the report indefinitely, and reporting must never
-        hang on the incident it is reporting.
-        """
-        zero = EngineCacheInfo(
-            hits=0, misses=0, evictions=0, size=0, maxsize=0, featurized=0
-        )
-        infos = []
-        for index in range(self.num_workers):
-            if not self._healthy[index]:
-                infos.append(zero)
-                continue
-            try:
-                body, _ = self._call(index, "cache_info", {})
-                infos.append(EngineCacheInfo(**body))
-            except (WorkerCrashError, ConfigurationError):
-                infos.append(zero)
-        return tuple(infos)
-
-    #: :class:`ClusterMetrics` discovers per-shard breakdowns through this
-    #: name; a worker is the process-tier shard.
-    shard_cache_infos = worker_cache_infos
-
+    # ---------------------------------------------------------- observability
     def worker_obs_snapshots(self) -> tuple[dict, ...]:
         """Each worker's metrics-registry snapshot via the ``stats`` wire op.
 
@@ -664,102 +613,6 @@ class WorkerPool:
         for snapshot in self.worker_obs_snapshots():
             merged.merge(snapshot)
         return merged
-
-    def snapshot(self) -> tuple[dict[ProfileKey, np.ndarray], ...]:
-        """Per-worker cache exports (also retained for respawn warm-starts)."""
-        results = self._call_all(
-            [(index, "snapshot", {}, ()) for index in range(self.num_workers)]
-        )
-        exports = []
-        for index, (body, arrays) in enumerate(results):
-            keys = [
-                (int(k[0]), float(k[1]), str(k[2]), int(k[3]), int(k[4]))
-                for k in body["keys"]
-            ]
-            rows = arrays[0] if arrays else np.zeros((0, 0))
-            export = {key: np.array(row, copy=True) for key, row in zip(keys, rows)}
-            self._retained[index] = export
-            exports.append(dict(export))
-        return tuple(exports)
-
-    @staticmethod
-    def _restore_body(rows: dict[ProfileKey, np.ndarray]) -> dict:
-        return {"keys": [[k[0], k[1], k[2], k[3], key_revision(k)] for k in rows]}
-
-    def restore(self, snapshot: tuple[dict[ProfileKey, np.ndarray], ...]) -> int:
-        """Repopulate worker caches from a snapshot; returns rows kept.
-
-        Rows re-route by stable hash (any source shard/worker count restores
-        into this pool) and are retained per worker for respawn warm-starts.
-        """
-        routed = route_snapshot_rows(snapshot, self.num_workers)
-        calls = []
-        for index, rows in enumerate(routed):
-            self._retained[index] = {
-                key: np.array(row, copy=True) for key, row in rows.items()
-            }
-            arrays = (np.stack(list(rows.values())),) if rows else ()
-            calls.append((index, "restore", self._restore_body(rows), arrays))
-        results = self._call_all(calls)
-        return sum(int(body["imported"]) for body, _ in results)
-
-    def _invalidate_worker(self, index: int, body: dict) -> int:
-        """One INVALIDATE frame to one worker; rows dropped there.
-
-        A dead worker answers 0 rather than failing the sweep: its retained
-        warm-start rows were already purged gateway-side, which is the part
-        that matters — a respawn cannot resurrect the stale rows.
-        """
-        try:
-            handle = self._ensure_worker(index)
-            response, _ = self._request_sync(
-                handle, "invalidate", body, (), frame=wire.FRAME_INVALIDATE
-            )
-        except WorkerCrashError:
-            return 0
-        return int(response.get("invalidated", 0))
-
-    def invalidate(self, uids: Iterable[int]) -> int:
-        """Drop every cached feature row of the given users, pool-wide.
-
-        Purges the gateway's retained snapshot rows for **all** workers first
-        (so a later respawn warm-start cannot restore them), then sends the
-        owner worker of each uid an ``INVALIDATE`` frame.  Returns rows
-        dropped inside live workers.
-        """
-        uid_set = {int(uid) for uid in uids}
-        if not uid_set or self._closed:
-            return 0
-        for retained in self._retained:
-            if retained:
-                for key in [k for k in retained if k[0] in uid_set]:
-                    del retained[key]
-        groups: dict[int, list[int]] = {}
-        for uid in sorted(uid_set):
-            groups.setdefault(shard_index(uid, self.num_workers), []).append(uid)
-        dropped = sum(
-            self._invalidate_worker(owner, {"uids": group})
-            for owner, group in sorted(groups.items())
-        )
-        if dropped:
-            self._observe("observe_invalidation", dropped)
-        return dropped
-
-    def invalidate_stale(self) -> int:
-        """Sweep superseded-revision rows from every worker (and retained rows)."""
-        if self._closed:
-            return 0
-        for retained in self._retained:
-            if retained:
-                for key in superseded_keys(retained):
-                    retained.pop(key, None)
-        dropped = sum(
-            self._invalidate_worker(index, {"stale": True})
-            for index in range(self.num_workers)
-        )
-        if dropped:
-            self._observe("observe_invalidation", dropped)
-        return dropped
 
     # ---------------------------------------------------------------- liveness
     def _mark_health(self, index: int, healthy: bool) -> None:
@@ -842,10 +695,7 @@ class WorkerPool:
 
     def ping(self, index: int) -> bool:
         """Heartbeat one worker; True on echo, raises on a dead worker."""
-        handle = self._ensure_worker(index)
-        return asyncio.run_coroutine_threadsafe(
-            self._ping_handle(handle), self._loop
-        ).result(self.call_timeout)
+        return self._run(self._ping_handle(self._ensure_worker(index)), self.call_timeout)
 
     def worker_pids(self) -> tuple[int, ...]:
         """The OS pids of the current worker processes."""
@@ -854,42 +704,6 @@ class WorkerPool:
     def workers_alive(self) -> tuple[bool, ...]:
         """Gateway-side liveness flags (a death is noticed at the failing call)."""
         return tuple(handle.alive for handle in self._handles)
-
-    # -------------------------------------------------------------- judgement
-    @property
-    def threshold(self) -> float:
-        """The decision threshold applied by :meth:`predict` and :meth:`serve`."""
-        return self._core.threshold
-
-    @property
-    def registry(self):
-        """The POI registry behind the judge (engine-surface pass-through)."""
-        return self._local.registry
-
-    def predict_proba(self, pairs: list[Pair]) -> np.ndarray:
-        """Co-location probability per pair; bit-for-bit the single engine's.
-
-        Both sides gather in one wire fan-out (each owner worker featurizes
-        its misses as one batch, in true process parallelism); scoring reuses
-        the engine's exact chunking, so results never depend on routing.
-        """
-        return self._core.predict_proba(pairs)
-
-    def predict(self, pairs: list[Pair]) -> np.ndarray:
-        """Binary co-location decisions per pair (judge's rule, like the engine)."""
-        return self._core.predict(pairs)
-
-    def probability_matrix(self, profiles: list[Profile]) -> np.ndarray:
-        """The ``N x N`` pairwise matrix, each profile featurized on its owner."""
-        return self._core.probability_matrix(profiles)
-
-    def serve(self, request: JudgeRequest) -> JudgeResponse:
-        """Answer one typed judgement request (cache traffic summed over workers)."""
-        return self._core.serve(request)
-
-    def serve_batch(self, requests: Iterable[JudgeRequest]) -> list[JudgeResponse]:
-        """Answer typed requests together, scoring them as one coalesced batch."""
-        return self._core.serve_batch(requests)
 
     # -------------------------------------------------------------- lifecycle
     async def _shutdown_handle(self, handle: _WorkerHandle) -> None:
@@ -932,20 +746,14 @@ class WorkerPool:
             if self._closed:
                 return
             self._closed = True
-        heartbeat = getattr(self, "_heartbeat_future", None)
-        if heartbeat is not None:
+        if self._heartbeat_future is not None:
+            self._heartbeat_future.cancel()
+        for handle in self._handles:
             try:
-                heartbeat.cancel()
+                self._run(self._shutdown_handle(handle), timeout)
             except Exception:
                 pass
-        for handle in getattr(self, "_handles", []):
-            try:
-                asyncio.run_coroutine_threadsafe(
-                    self._shutdown_handle(handle), self._loop
-                ).result(timeout)
-            except Exception:
-                pass
-        for handle in getattr(self, "_handles", []):
+        for handle in self._handles:
             process = handle.process
             process.join(timeout)
             if process.is_alive():
@@ -955,15 +763,7 @@ class WorkerPool:
                 process.kill()
                 process.join(2.0)
         self._teardown_loop()
-        if self._tmpdir is not None:
-            self._tmpdir.cleanup()
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
+        self._tmpdir.cleanup()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -130,14 +130,8 @@ class ClusterMetrics:
     engine:
         Optional engine whose cache statistics the snapshot should include;
         anything with ``cache_info()`` works, and engines that also expose
-        ``shard_cache_infos()`` (the :class:`repro.cluster.ShardedEngine`)
-        get per-shard breakdowns.
-    latency_window:
-        **Ignored** (kept for call-site compatibility).  Latency percentiles
-        now come from a fixed-bucket histogram whose memory never grows with
-        request count; they are exact to bucket resolution (the bucket's
-        upper bound clamped to the observed min/max — sub-millisecond below
-        10 ms on the default bounds) instead of exact over a sliding window.
+        ``shard_cache_infos()`` (a :class:`repro.cluster.ShardedEngine` or
+        :class:`repro.cluster.WorkerPool`) get per-shard breakdowns.
     registry:
         The registry to declare metrics in (a fresh private one by default).
     time_fn:
@@ -148,12 +142,10 @@ class ClusterMetrics:
     def __init__(
         self,
         engine=None,
-        latency_window: int = 4096,
         *,
         registry: MetricsRegistry | None = None,
         time_fn: Callable[[], float] | None = None,
     ):
-        del latency_window  # superseded by fixed histogram buckets
         self._engine = engine
         self._time = time_fn if time_fn is not None else time.monotonic
         self.registry = registry if registry is not None else MetricsRegistry()

@@ -42,11 +42,12 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro import errors as errors_mod
+from repro.core.protocols import ProfileKey, key_revision
 from repro.errors import ReproError, RemoteJudgeError, WireProtocolError
 
 #: Protocol generation; bumped on incompatible frame-format changes.
@@ -158,6 +159,23 @@ def decode_payload(payload: bytes) -> tuple[object, list[np.ndarray]]:
     if offset != len(payload):
         raise WireProtocolError(f"{len(payload) - offset} trailing bytes after the last array")
     return body, arrays
+
+
+# ---------------------------------------------------------------- profile keys
+
+
+def encode_keys(keys: Iterable[ProfileKey]) -> list[list]:
+    """Profile keys as JSON lists ``[uid, ts, content, history_len, revision]``.
+
+    Legacy 4-tuple keys cross the wire with the unrevisioned revision, so
+    every key on the wire has all five elements (:data:`WIRE_VERSION` 2).
+    """
+    return [[k[0], k[1], k[2], k[3], key_revision(k)] for k in keys]
+
+
+def decode_keys(keys: Iterable[Sequence]) -> list[ProfileKey]:
+    """Inverse of :func:`encode_keys`: typed 5-tuple profile keys."""
+    return [(int(k[0]), float(k[1]), str(k[2]), int(k[3]), int(k[4])) for k in keys]
 
 
 # ---------------------------------------------------------------- typed errors

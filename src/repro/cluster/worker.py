@@ -10,16 +10,16 @@ bootstrap only, never on the serving path), wraps it in a fresh
 :class:`ColocationEngine` (its slice of the cluster's cache budget), connects
 back to the gateway, and serves :mod:`repro.cluster.wire` frames in a loop.
 
-Every engine surface crosses the wire — ``gather`` (the hot path: feature
-rows as raw numpy payloads plus the call's own cache traffic, including the
-indices of the profiles it featurized),
-``predict_proba`` / ``predict`` / ``probability_matrix``, typed
-``serve_batch`` (the worker runs :class:`repro.api.JudgementCore.serve_batch`
-through its engine), ``warm`` / ``cache_info`` / ``threshold``, and
+A worker answers the operations the gateway's wire shard sends and nothing
+else: ``gather`` (the hot path: feature rows as raw numpy payloads plus the
+call's own cache traffic, including the indices of the profiles it
+featurized), ``warm``, ``cache_info``, ``stats`` (its metrics registry), and
 ``snapshot`` / ``restore`` so a respawned worker warm-starts from its
-predecessor's cache export.  A dedicated ``INVALIDATE`` frame drops cached
-rows by uid (or sweeps superseded revisions) without going through the CALL
-path, so the gateway can propagate profile mutations to every worker.
+predecessor's cache export.  Decisions never happen here: the gateway scores
+and decides through the shared :class:`repro.api.JudgementCore`.  A
+dedicated ``INVALIDATE`` frame drops cached rows by uid (or sweeps superseded
+revisions) without going through the CALL path, so the gateway can propagate
+profile mutations to every worker.
 
 Lifecycle: the worker exits cleanly on a ``SHUTDOWN`` frame, on EOF (the
 gateway closed or died — no orphan processes), and on ``SIGTERM``.  An
@@ -33,6 +33,7 @@ pipeline directory, for deployments where workers are not child processes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -44,7 +45,6 @@ import sys
 import numpy as np
 
 from repro.cluster import wire
-from repro.core.protocols import key_revision
 from repro.errors import ConfigurationError, WireProtocolError
 
 #: Bundle manifest file name.
@@ -108,26 +108,11 @@ def _profiles_from(body: dict) -> list:
     return [profile_from_dict(p) for p in body.get("profiles", [])]
 
 
-def _pairs_from(body: dict) -> list:
-    from repro.io.records_json import pair_from_dict
-
-    return [pair_from_dict(p) for p in body.get("pairs", [])]
-
-
-def _keys_from(body: dict) -> list[tuple]:
-    return [
-        (int(k[0]), float(k[1]), str(k[2]), int(k[3]), int(k[4]))
-        for k in body.get("keys", [])
-    ]
-
-
 def handle_call(engine, payload: bytes) -> bytes:
     """Decode one CALL payload, run it on the engine, encode the RESULT payload.
 
     Raising is fine — the caller turns any exception into an error frame.
     """
-    from repro.api.messages import JudgeRequest
-
     body, arrays = wire.decode_payload(payload)
     if not isinstance(body, dict):
         raise WireProtocolError(f"malformed call body: {body!r}")
@@ -161,41 +146,10 @@ def handle_call(engine, payload: bytes) -> bytes:
             },
             [rows],
         )
-    if op == "features":
-        return wire.encode_payload(None, [engine.features(_profiles_from(body))])
-    if op == "predict_proba":
-        return wire.encode_payload(None, [engine.predict_proba(_pairs_from(body))])
-    if op == "predict":
-        return wire.encode_payload(None, [engine.predict(_pairs_from(body))])
-    if op == "probability_matrix":
-        return wire.encode_payload(None, [engine.probability_matrix(_profiles_from(body))])
-    if op == "serve_batch":
-        responses = engine.serve_batch(
-            [JudgeRequest.from_dict(r) for r in body.get("requests", [])]
-        )
-        return wire.encode_payload({"responses": [r.to_dict() for r in responses]})
     if op == "warm":
         return wire.encode_payload({"featurized": engine.warm(_profiles_from(body))})
     if op == "cache_info":
-        info = engine.cache_info()
-        return wire.encode_payload(
-            {
-                "hits": info.hits,
-                "misses": info.misses,
-                "evictions": info.evictions,
-                "size": info.size,
-                "maxsize": info.maxsize,
-                "featurized": info.featurized,
-                "invalidated": info.invalidated,
-                "hot_hits": info.hot_hits,
-                "cold_hits": info.cold_hits,
-                "promotions": info.promotions,
-                "demotions": info.demotions,
-                "cold_size": info.cold_size,
-            }
-        )
-    if op == "threshold":
-        return wire.encode_payload({"threshold": float(engine.threshold)})
+        return wire.encode_payload(dataclasses.asdict(engine.cache_info()))
     if op == "stats":
         # The STATS op: this process's metrics-registry snapshot, for the
         # gateway to merge into a cluster-truthful view (obs_snapshot()).
@@ -204,11 +158,10 @@ def handle_call(engine, payload: bytes) -> bytes:
         return wire.encode_payload({"registry": get_registry().snapshot()})
     if op == "snapshot":
         export = engine.store.export()
-        keys = [[k[0], k[1], k[2], k[3], key_revision(k)] for k in export]
         rows = [np.stack(list(export.values()))] if export else []
-        return wire.encode_payload({"keys": keys}, rows)
+        return wire.encode_payload({"keys": wire.encode_keys(export)}, rows)
     if op == "restore":
-        keys = _keys_from(body)
+        keys = wire.decode_keys(body.get("keys", []))
         rows = arrays[0] if arrays else np.zeros((0, 0))
         if len(keys) != len(rows):
             raise WireProtocolError(

@@ -26,9 +26,10 @@ non-overlapping stages ``queue_wait + gather + score`` (the property
 histograms — per-lookup timings, too fine-grained to ride individual traces.
 
 Activation uses a :class:`contextvars.ContextVar`, which does **not** cross
-thread boundaries: thread-pool transports re-activate the caller's trace
-inside worker threads (see ``ShardedEngine._gather``), and the process pool
-sends the trace id across the wire and merges the worker's spans back.
+thread boundaries: the sharded engine re-activates the caller's trace inside
+its shard threads (see ``repro.cluster.sharded._EngineShard._gather``), and
+the process pool sends the trace id across the wire and merges the worker's
+spans back.
 
 Everything is gated on :attr:`Tracer.enabled`: disabled, ``stage()`` returns
 a shared no-op context manager and costs one attribute read — the ≤5%

@@ -18,12 +18,12 @@ from repro.errors import ConfigurationError
 def resolve_engine(engine, judge=None):
     """Normalise a service's ``engine``/legacy ``judge`` arguments to an engine.
 
-    A :class:`repro.cluster.ShardedEngine`, :class:`repro.cluster.MicroBatcher`
-    or :class:`repro.cluster.WorkerPool` passes through unchanged — all three
-    speak the full engine surface (``predict_proba`` /
-    ``probability_matrix`` / ``warm`` / ``serve`` / ``cache_info`` /
-    ``registry``) — so every service gains the sharded, micro-batched and
-    process-worker paths by construction.
+    A partitioned engine (:class:`repro.cluster.ShardedEngine` or
+    :class:`repro.cluster.WorkerPool`) or a :class:`repro.cluster.MicroBatcher`
+    passes through unchanged — all of them speak the full engine surface
+    (``predict_proba`` / ``probability_matrix`` / ``warm`` / ``serve`` /
+    ``cache_info`` / ``registry``) — so every service gains the sharded,
+    micro-batched and process-worker paths by construction.
     """
     if judge is not None:
         if engine is not None:
@@ -38,9 +38,8 @@ def resolve_engine(engine, judge=None):
     if engine is None:
         raise ConfigurationError("an engine (or fitted judge) is required")
     from repro.cluster.batcher import MicroBatcher
-    from repro.cluster.gateway import WorkerPool
-    from repro.cluster.sharded import ShardedEngine
+    from repro.cluster.sharded import PartitionedEngine
 
-    if isinstance(engine, (ShardedEngine, MicroBatcher, WorkerPool)):
+    if isinstance(engine, (PartitionedEngine, MicroBatcher)):
         return engine
     return ColocationEngine.ensure(engine)

@@ -53,17 +53,6 @@ class TestStoreWiring:
                 fitted_pipeline, store=TieredStore(HotStore(3)), arena_dir=tmp_path
             )
 
-    def test_export_import_shims_warn_but_work(self, fitted_pipeline, profiles):
-        source = ColocationEngine(fitted_pipeline, cache_size=64)
-        source.warm(profiles)
-        with pytest.warns(DeprecationWarning, match="store.export"):
-            exported = source.export_cache()
-        assert len(exported) == source.cache_info().size
-        target = ColocationEngine(fitted_pipeline, cache_size=64)
-        with pytest.warns(DeprecationWarning, match="store.import_rows"):
-            assert target.import_cache(exported) == len(exported)
-        assert target.cache_info().misses == 0
-
 
 class TestArenaTiering:
     def test_tier_traffic_reaches_cache_info(self, fitted_pipeline, profiles, tmp_path):

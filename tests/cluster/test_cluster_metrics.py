@@ -65,7 +65,7 @@ class TestClusterMetrics:
         # The old sliding window is gone: percentiles come from a fixed-bucket
         # histogram whose memory never grows with request count, exact to
         # bucket resolution (the bucket bound, clamped to the observed range).
-        metrics = ClusterMetrics(latency_window=4)  # accepted but ignored
+        metrics = ClusterMetrics()
         for latency in range(100):
             metrics.observe_latency(float(latency))
         snapshot = metrics.snapshot()

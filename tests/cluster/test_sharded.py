@@ -59,13 +59,6 @@ class TestConstruction:
         assert len(replicas) == sharded.num_shards
         assert id(fitted_pipeline) not in replicas
 
-    def test_shared_judge_mode(self, fitted_pipeline, test_pairs):
-        with ShardedEngine(
-            fitted_pipeline, num_shards=2, cache_size=64, replicate_judge=False
-        ) as engine:
-            assert all(shard.judge is fitted_pipeline for shard in engine.shards)
-            assert engine.predict_proba(test_pairs).shape == (len(test_pairs),)
-
     def test_registry_and_threshold_come_from_the_judge(self, sharded, single, tiny_dataset):
         assert sharded.registry is not None
         assert sharded.threshold == single.threshold
@@ -195,7 +188,7 @@ class TestCaches:
         )
         with ShardedEngine(fitted_pipeline, num_shards=1, cache_size=2) as engine:
             assert engine.restore(snapshot) == 2
-            kept = set(engine.shards[0].export_cache())
+            kept = set(engine.shards[0].store.export())
         assert kept == {key(4), key(5)}  # each export's hottest row survived
 
     def test_snapshot_restores_across_shard_counts(self, fitted_pipeline, tiny_dataset):
@@ -210,7 +203,7 @@ class TestCaches:
             # Every restored row sits on the shard its key hashes to.
             for index, shard in enumerate(resized.shards):
                 assert all(
-                    shard_index(key, 2) == index for key in shard.export_cache()
+                    shard_index(key, 2) == index for key in shard.store.export()
                 )
 
 
@@ -292,3 +285,49 @@ class TestFallbacksAndServe:
     def test_serve_rejects_invalid_threshold(self, sharded, test_pairs):
         with pytest.raises(ConfigurationError):
             sharded.serve(JudgeRequest(pairs=tuple(test_pairs), threshold=5.0))
+
+
+class TestFailureRule:
+    """The fan-out's one failure rule, shared with the worker pool."""
+
+    def test_a_failed_gather_waits_for_its_sibling_shards(self, tiny_dataset):
+        """A shard's error surfaces only after every owner has answered, so
+        no shard is still working for a call its caller already saw fail."""
+        import time
+
+        finished = []
+
+        class SplitJudge:
+            """Shard 0 fails at once; shard 1 answers after 300 ms."""
+
+            def predict_proba(self, pairs):
+                return np.zeros(len(pairs))
+
+            def featurize_profiles(self, profiles):
+                if shard_index(profile_key(profiles[0]), 2) == 0:
+                    raise RuntimeError("shard 0 failed")
+                time.sleep(0.3)
+                finished.append(len(profiles))
+                return np.array([[float(p.uid)] for p in profiles])
+
+            def score_feature_pairs(self, left, right):
+                return np.zeros(len(left))
+
+        profiles = tiny_dataset.train.labeled_profiles
+        left = next(p for p in profiles if shard_index(profile_key(p), 2) == 0)
+        right = next(p for p in profiles if shard_index(profile_key(p), 2) == 1)
+        with ShardedEngine(
+            SplitJudge(), num_shards=2, cache_size=0, registry=tiny_dataset.registry
+        ) as engine:
+            with pytest.raises(RuntimeError, match="shard 0 failed"):
+                engine.predict_proba([Pair(left=left, right=right, co_label=None)])
+            assert finished == [1]  # the slow sibling answered before the raise
+
+    def test_use_after_close_raises_configuration_error(self, fitted_pipeline, test_pairs):
+        engine = ShardedEngine(fitted_pipeline, num_shards=2, cache_size=64)
+        engine.close()
+        with pytest.raises(ConfigurationError, match="closed"):
+            engine.predict_proba(test_pairs)
+        with pytest.raises(ConfigurationError, match="closed"):
+            engine.warm([pair.left for pair in test_pairs])
+        engine.close()  # a second close is a no-op
