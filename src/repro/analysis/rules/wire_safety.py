@@ -15,7 +15,11 @@ modules (``wire.py``, ``worker.py``, ``gateway.py``):
 * a payload-sized read (``readexactly``/``_recv_exactly`` with a computed
   length) must be preceded in the same function by ``_parse_header`` (or an
   explicit ``max_frame_bytes`` bound), so a forged length cannot drive an
-  unbounded allocation.
+  unbounded allocation;
+* the gateway and the worker never import ``repro.io.records_json``:
+  profiles cross the wire as columnar batches
+  (``repro.cluster.wire.encode_profiles``), and the per-visit JSON codecs
+  of the on-disk JSONL format must not creep back onto the hot path.
 """
 
 from __future__ import annotations
@@ -42,13 +46,18 @@ _SIZED_READS = {"readexactly", "_recv_exactly", "recv_exactly"}
 
 _WIRE_HOME = "repro/cluster/wire.py"
 
+#: Modules that ship profiles, and the JSONL record codecs they must not use.
+_PROFILE_SHIPPERS = ("repro/cluster/gateway.py", "repro/cluster/worker.py")
+_RECORDS_JSON = "repro.io.records_json"
+
 
 @register
 class WireSafetyRule(Rule):
     rule_id = "wire-safety"
     description = (
         "no pickle/marshal/eval/exec/__reduce__ in wire-path modules; frame "
-        "constants declared once in wire.py; length-checked payload reads"
+        "constants declared once in wire.py; length-checked payload reads; "
+        "no per-visit JSON record codecs in the gateway or worker"
     )
 
     def __init__(self) -> None:
@@ -60,15 +69,29 @@ class WireSafetyRule(Rule):
             return []
         findings: list[Finding] = []
         self._collect_frames(source)
+        ships_profiles = source.matches(*_PROFILE_SHIPPERS)
         for node in ast.walk(source.tree):
             if isinstance(node, ast.Import):
                 findings.extend(
                     self._banned_import(source, node, alias.name) for alias in node.names
                     if alias.name.split(".")[0] in _BANNED_MODULES
                 )
+                if ships_profiles:
+                    findings.extend(
+                        self._records_json_import(source, node) for alias in node.names
+                        if alias.name.startswith(_RECORDS_JSON)
+                    )
             elif isinstance(node, ast.ImportFrom):
                 if node.module and node.module.split(".")[0] in _BANNED_MODULES:
                     findings.append(self._banned_import(source, node, node.module))
+                if ships_profiles and (
+                    (node.module or "").startswith(_RECORDS_JSON)
+                    or (
+                        node.module == "repro.io"
+                        and any(alias.name == "records_json" for alias in node.names)
+                    )
+                ):
+                    findings.append(self._records_json_import(source, node))
             elif isinstance(node, ast.Call):
                 if isinstance(node.func, ast.Name) and node.func.id in _BANNED_CALLS:
                     findings.append(
@@ -118,6 +141,16 @@ class WireSafetyRule(Rule):
             "on the wire is banned",
             "frames carry JSON headers + raw ndarray bytes (repro.cluster.wire); "
             "a documented non-wire path may carry '# repro: allow(wire-safety)'",
+        )
+
+    def _records_json_import(self, source: SourceFile, node: ast.AST) -> Finding:
+        return self.finding(
+            source,
+            node,
+            f"import of '{_RECORDS_JSON}' in a profile-shipping wire module — "
+            "per-visit JSON dicts are off the wire",
+            "ship profiles with repro.cluster.wire.encode_profiles/decode_profiles "
+            "(JSON scalar rows + one float64 visits array)",
         )
 
     def _collect_frames(self, source: SourceFile) -> None:

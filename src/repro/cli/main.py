@@ -383,7 +383,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
         judge = load_pipeline(args.model)
     knobs = {
         "cache_size": args.cache_size,
-        "threshold": args.threshold,
         "batch_size": args.batch_size,
         "arena_dir": args.arena_dir,
     }
@@ -555,8 +554,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="memmap arena slice directory for the cold feature tier",
     )
-    worker.add_argument("--threshold", type=float, default=None, help="decision threshold")
-    worker.add_argument("--batch-size", type=int, default=1024, help="scoring chunk size")
+    worker.add_argument(
+        "--batch-size",
+        type=int,
+        default=1024,
+        help="engine scoring chunk (validated only: a worker featurizes, never scores)",
+    )
     worker.add_argument(
         "--once", action="store_true", help="exit after the first connection (with --listen)"
     )

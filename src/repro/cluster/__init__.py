@@ -15,7 +15,9 @@ batch kernels into *concurrent throughput*.  The pieces compose:
   rebuilt from the fitted judge via the save/load bundle, behind an asyncio
   gateway speaking the length-prefixed binary protocol of
   :mod:`repro.cluster.wire` (JSON bodies + raw numpy payloads — no pickle on
-  the hot path), so featurization escapes the GIL; worker death fails
+  the hot path; profiles travel as columnar batches of JSON scalar rows plus
+  one float64 visits array, feature rows come back as raw float64), so
+  featurization escapes the GIL; worker death fails
   pending calls fast with :class:`repro.errors.WorkerCrashError` and can
   respawn-with-restore.
 * :class:`MicroBatcher` — an async request coalescer: concurrent ``score`` /

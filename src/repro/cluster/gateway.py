@@ -14,16 +14,18 @@ fans each batch's feature gather out across worker sockets concurrently.
 **One decision path, four transports.**  Routing, per-owner deduplication,
 the fan-out, the cache-admin surface and the :class:`repro.api.JudgementCore`
 delegations are the partitioned engine's; this module adds only the wire
-shard (profiles JSON out, raw numpy feature rows back) and the process
-lifecycle.  Featurization — the CPU-bound cost — parallelises across
-processes; scoring, a small batched matmul, runs in the gateway.  Because the
-worker's loaded pipeline restores bitwise-exact, ``WorkerPool.predict_proba``
-matches the single engine bit-for-bit, ``resolve_engine`` passes a pool
-through, and any :mod:`repro.service` application, or a
-:class:`repro.cluster.MicroBatcher`, can sit on top unchanged.  Cache
-invalidation routes ``INVALIDATE`` frames to owner workers and purges the
-gateway's retained warm-start rows, so neither a live worker nor a respawned
-one can serve a superseded profile revision.
+shard (columnar profile batches out — JSON scalar rows plus one float64
+visits array, :func:`repro.cluster.wire.encode_profiles` — and raw numpy
+feature rows back) and the process lifecycle.  Featurization — the
+CPU-bound cost — parallelises across processes; scoring, a small batched
+matmul, runs in the gateway.  Because the worker's loaded pipeline restores
+bitwise-exact and the profile batch crosses the wire exactly,
+``WorkerPool.predict_proba`` matches the single engine bit-for-bit,
+``resolve_engine`` passes a pool through, and any :mod:`repro.service`
+application, or a :class:`repro.cluster.MicroBatcher`, can sit on top
+unchanged.  Cache invalidation routes ``INVALIDATE`` frames to owner workers
+and purges the gateway's retained warm-start rows, so neither a live worker
+nor a respawned one can serve a superseded profile revision.
 
 **Failure model.**  A worker dying (crash, kill, broken socket) fails the
 call in flight — and every call queued behind it — *promptly* with
@@ -91,12 +93,6 @@ class _WorkerHandle:
     alive: bool = True
 
 
-def _profile_dicts(profiles: list[Profile]) -> list[dict]:
-    from repro.io.records_json import profile_to_dict
-
-    return [profile_to_dict(profile) for profile in profiles]
-
-
 def _restore_payload(rows: dict[ProfileKey, np.ndarray]) -> tuple[dict, tuple]:
     """The ``restore`` CALL body and arrays that ship ``rows`` to a worker."""
     return {"keys": wire.encode_keys(rows)}, ((np.stack(list(rows.values())),) if rows else ())
@@ -159,10 +155,10 @@ class _WorkerShard:
 
     def submit_warm(self, profiles: list[Profile]) -> Future:
         handle = self.pool._ensure_worker(self.index)
-        body = {"profiles": _profile_dicts(profiles)}
+        rows, visits = wire.encode_profiles(profiles)
 
         async def warm() -> int:
-            reply, _ = await self.pool._request(handle, "warm", body)
+            reply, _ = await self.pool._request(handle, "warm", {"profiles": rows}, (visits,))
             return int(reply["featurized"])
 
         return asyncio.run_coroutine_threadsafe(warm(), self.pool._loop)
@@ -240,7 +236,8 @@ class WorkerPool(PartitionedEngine):
         **Total** feature-row budget, split evenly across workers — the same
         fairness rule as :class:`repro.cluster.ShardedEngine`.
     threshold / batch_size:
-        As on :class:`ColocationEngine`; both also forwarded to the workers.
+        As on :class:`ColocationEngine`.  The gateway scores and decides;
+        workers only featurize, so the threshold never leaves this process.
     respawn:
         Respawn a dead worker on the next call routed to it, warm-started
         from the rows most recently seen by :meth:`snapshot`/:meth:`restore`.
@@ -299,7 +296,6 @@ class WorkerPool(PartitionedEngine):
         self.start_timeout = start_timeout
         self.call_timeout = call_timeout
         self.metrics = metrics if metrics is not None else ClusterMetrics(self)
-        self._explicit_threshold = threshold
         # The local engine scores, shapes empty results and answers the
         # registry, never featurizes: its cache is disabled because feature
         # rows live in the workers.  It also validates threshold/batch_size.
@@ -408,7 +404,6 @@ class WorkerPool(PartitionedEngine):
                 args=(self._bundle_dir, self._address[0], self._address[1], token, index),
                 kwargs={
                     "cache_size": self._worker_cache_sizes[index],
-                    "threshold": self._explicit_threshold,
                     "batch_size": self.batch_size,
                     "arena_dir": shard_arena_dir(self.arena_dir, index, prefix="worker"),
                 },
@@ -558,19 +553,22 @@ class WorkerPool(PartitionedEngine):
     ) -> list[tuple[np.ndarray, CallCacheStats]]:
         """One ``gather`` CALL per owner worker, all in flight at once.
 
-        With tracing enabled, body serialization is the ``wire_serialize``
-        stage and the fan-out is ``wire_rtt`` (which *contains* the workers'
-        own gather/featurize time) — one span each per gather, however many
-        workers it touches; the active trace's id rides each CALL body.
+        Each body carries its owner's profiles as one columnar batch
+        (:func:`repro.cluster.wire.encode_profiles`).  With tracing enabled,
+        batch encoding is the ``wire_serialize`` stage and the fan-out is
+        ``wire_rtt`` (which *contains* the workers' own gather/featurize
+        time) — one span each per gather, however many workers it touches;
+        the active trace's id rides each CALL body.
         """
         tracer = get_tracer()
         with tracer.stage(STAGE_WIRE_SERIALIZE):
             calls = []
             for owner, group in batches:
-                body = {"profiles": _profile_dicts(group)}
+                rows, visits = wire.encode_profiles(group)
+                body = {"profiles": rows}
                 if trace is not None:
                     body["trace"] = trace.trace_id
-                calls.append((owner, "gather", body, ()))
+                calls.append((owner, "gather", body, (visits,)))
         with tracer.stage(STAGE_WIRE_RTT):
             replies = self._call_all(calls)
         return [

@@ -26,6 +26,24 @@ string and shape — **no pickle anywhere on the wire**, so a worker never
 executes code smuggled through a feature payload, and a megabyte of float64
 feature rows costs a memcpy, not a serializer walk.
 
+Profiles travel columnar.  A ``gather`` or ``warm`` CALL body carries
+``{"profiles": rows}`` plus exactly one array, built by
+:func:`encode_profiles`:
+
+* ``rows`` — one short JSON list per profile,
+  ``[uid, tweet_uid, ts, content, lat, lon, true_pid, pid, revision,
+  n_visits]``.  JSON keeps uids beyond int64 (which :func:`shard_index
+  <repro.cluster.shard_index>` routes) and ``None`` without sentinels, and
+  floats cross it as their shortest round-trip ``repr``;
+* the visits — every profile's Eq. (1)–(2) history concatenated in row
+  order as one C-contiguous float64 ``(V, 3)`` array of ``(ts, lat, lon)``,
+  where ``V`` is the sum of the rows' ``n_visits``.
+
+Both halves are exact, so a decoded profile equals the one sent and the
+worker's feature rows are bit-identical to a local featurize.  The decoder
+(:func:`decode_profiles`) validates the batch's shape before building a
+single profile; a malformed batch raises :class:`WireProtocolError`.
+
 Errors are frames too: :func:`encode_error` captures a worker-side exception
 as ``{"type", "message"}`` and :func:`decode_error` maps it back — known
 :mod:`repro.errors` types re-raise as themselves client-side (so
@@ -42,18 +60,22 @@ from __future__ import annotations
 
 import json
 import struct
+from itertools import starmap
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro import errors as errors_mod
 from repro.core.protocols import ProfileKey, key_revision
+from repro.data.records import Profile, Tweet, Visit
 from repro.errors import ReproError, RemoteJudgeError, WireProtocolError
 
 #: Protocol generation; bumped on incompatible frame-format changes.
 #: Version 2: profile keys on the wire (snapshot/restore) grew a fifth
 #: ``revision`` element, and the ``INVALIDATE`` frame joined the protocol.
-WIRE_VERSION = 2
+#: Version 3: ``gather``/``warm`` bodies carry columnar profile batches
+#: (:func:`encode_profiles`) instead of one JSON object per visit.
+WIRE_VERSION = 3
 
 #: Default bound on one frame's payload, enforced before allocation.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
@@ -176,6 +198,116 @@ def encode_keys(keys: Iterable[ProfileKey]) -> list[list]:
 def decode_keys(keys: Iterable[Sequence]) -> list[ProfileKey]:
     """Inverse of :func:`encode_keys`: typed 5-tuple profile keys."""
     return [(int(k[0]), float(k[1]), str(k[2]), int(k[3]), int(k[4])) for k in keys]
+
+
+# ------------------------------------------------------------ profile batches
+
+#: Elements of one profile row in a columnar batch (see the module docstring).
+PROFILE_ROW_FIELDS = (
+    "uid",
+    "tweet_uid",
+    "ts",
+    "content",
+    "lat",
+    "lon",
+    "true_pid",
+    "pid",
+    "revision",
+    "n_visits",
+)
+
+
+def encode_profiles(profiles: Iterable[Profile]) -> tuple[list[list], np.ndarray]:
+    """A columnar profile batch: JSON scalar rows plus one ``(V, 3)`` visits array.
+
+    Send the rows as the ``profiles`` body entry and the array as the
+    call's only array; :func:`decode_profiles` inverts it exactly.
+    """
+    rows = []
+    flat: list[float] = []
+    for profile in profiles:
+        tweet = profile.tweet
+        history = profile.visit_history
+        rows.append(
+            [
+                profile.uid,
+                tweet.uid,
+                tweet.ts,
+                tweet.content,
+                tweet.lat,
+                tweet.lon,
+                tweet.true_pid,
+                profile.pid,
+                profile.revision,
+                len(history),
+            ]
+        )
+        for visit in history:
+            flat += (visit.ts, visit.lat, visit.lon)
+    return rows, np.array(flat, dtype=np.float64).reshape(-1, 3)
+
+
+def _optional(convert, value):
+    return None if value is None else convert(value)
+
+
+def decode_profiles(rows: object, arrays: Sequence[np.ndarray]) -> list[Profile]:
+    """Inverse of :func:`encode_profiles`, validating the whole batch.
+
+    Raises :class:`WireProtocolError` unless there is exactly one 2-D
+    float64 array with 3 columns, ``rows`` is a list of 10-element lists,
+    every ``n_visits`` is a non-negative int and the counts sum to the
+    array's length — or when a scalar does not convert to its field.
+    """
+    if len(arrays) != 1:
+        raise WireProtocolError(f"a profile batch carries one visits array, not {len(arrays)}")
+    (visits,) = arrays
+    if visits.dtype != np.float64 or visits.ndim != 2 or visits.shape[1] != 3:
+        raise WireProtocolError(
+            f"visits array must be float64 (V, 3), got {visits.dtype} {visits.shape}"
+        )
+    if not isinstance(rows, list):
+        raise WireProtocolError(f"profile rows must be a list, got {type(rows).__name__}")
+    width = len(PROFILE_ROW_FIELDS)
+    total = 0
+    for row in rows:
+        if not isinstance(row, list) or len(row) != width:
+            raise WireProtocolError(f"a profile row is a list of {width}, got {row!r}")
+        count = row[-1]
+        if type(count) is not int or count < 0:
+            raise WireProtocolError(f"n_visits must be a non-negative int, got {count!r}")
+        total += count
+    if total != len(visits):
+        raise WireProtocolError(
+            f"profile rows count {total} visits but the array holds {len(visits)}"
+        )
+    flat = visits.tolist()
+    profiles = []
+    start = 0
+    for uid, tweet_uid, ts, content, lat, lon, true_pid, pid, revision, count in rows:
+        if not isinstance(content, str):
+            raise WireProtocolError(f"tweet content must be a string, got {content!r}")
+        try:
+            tweet = Tweet(
+                uid=int(tweet_uid),
+                ts=float(ts),
+                content=content,
+                lat=_optional(float, lat),
+                lon=_optional(float, lon),
+                true_pid=_optional(int, true_pid),
+            )
+            profile = Profile(
+                uid=int(uid),
+                tweet=tweet,
+                visit_history=tuple(starmap(Visit, flat[start : start + count])),
+                pid=_optional(int, pid),
+                revision=_optional(int, revision),
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise WireProtocolError(f"invalid profile row: {exc}") from exc
+        profiles.append(profile)
+        start += count
+    return profiles
 
 
 # ---------------------------------------------------------------- typed errors

@@ -102,10 +102,9 @@ def load_judge_bundle(directory: str | pathlib.Path):
 # ----------------------------------------------------------- frame dispatching
 
 
-def _profiles_from(body: dict) -> list:
-    from repro.io.records_json import profile_from_dict
-
-    return [profile_from_dict(p) for p in body.get("profiles", [])]
+def _profiles_from(body: dict, arrays: list[np.ndarray]) -> list:
+    """The columnar profile batch of a ``gather``/``warm`` CALL."""
+    return wire.decode_profiles(body.get("profiles"), arrays)
 
 
 def handle_call(engine, payload: bytes) -> bytes:
@@ -129,12 +128,12 @@ def handle_call(engine, payload: bytes) -> bytes:
             # the "stats" op exports back to the gateway.
             trace = tracer.start_trace(trace_id=body.get("trace"))
             with tracer.activate(trace), tracer.stage(STAGE_GATHER):
-                rows, stats = engine._resolve_features(_profiles_from(body))
+                rows, stats = engine._resolve_features(_profiles_from(body, arrays))
             if body.get("trace"):
                 reply["trace"] = trace.trace_id
                 reply["spans"] = trace.stage_list()
         else:
-            rows, stats = engine._resolve_features(_profiles_from(body))
+            rows, stats = engine._resolve_features(_profiles_from(body, arrays))
         return wire.encode_payload(
             {
                 **reply,
@@ -147,7 +146,7 @@ def handle_call(engine, payload: bytes) -> bytes:
             [rows],
         )
     if op == "warm":
-        return wire.encode_payload({"featurized": engine.warm(_profiles_from(body))})
+        return wire.encode_payload({"featurized": engine.warm(_profiles_from(body, arrays))})
     if op == "cache_info":
         return wire.encode_payload(dataclasses.asdict(engine.cache_info()))
     if op == "stats":
@@ -233,7 +232,6 @@ def _build_engine(
     judge,
     *,
     cache_size: int,
-    threshold: float | None,
     batch_size: int,
     arena_dir: str | None = None,
 ):
@@ -242,7 +240,6 @@ def _build_engine(
     return ColocationEngine(
         judge,
         cache_size=cache_size,
-        threshold=threshold,
         batch_size=batch_size,
         arena_dir=arena_dir,
     )
@@ -264,7 +261,6 @@ def run_worker_client(
     worker_id: int,
     *,
     cache_size: int = 4096,
-    threshold: float | None = None,
     batch_size: int = 1024,
     arena_dir: str | None = None,
 ) -> None:
@@ -281,7 +277,6 @@ def run_worker_client(
     engine = _build_engine(
         judge,
         cache_size=cache_size,
-        threshold=threshold,
         batch_size=batch_size,
         arena_dir=arena_dir,
     )
@@ -310,7 +305,6 @@ def worker_main(
     token: str,
     worker_id: int,
     cache_size: int = 4096,
-    threshold: float | None = None,
     batch_size: int = 1024,
     arena_dir: str | None = None,
 ) -> None:
@@ -332,7 +326,6 @@ def worker_main(
         token,
         worker_id,
         cache_size=cache_size,
-        threshold=threshold,
         batch_size=batch_size,
         arena_dir=arena_dir,
     )
@@ -344,7 +337,6 @@ def run_worker_listener(
     port: int = 0,
     *,
     cache_size: int = 4096,
-    threshold: float | None = None,
     batch_size: int = 1024,
     arena_dir: str | None = None,
     once: bool = False,
@@ -361,7 +353,6 @@ def run_worker_listener(
     engine = _build_engine(
         judge,
         cache_size=cache_size,
-        threshold=threshold,
         batch_size=batch_size,
         arena_dir=arena_dir,
     )

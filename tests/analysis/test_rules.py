@@ -85,6 +85,28 @@ class TestWireSafety:
         )
         assert any("without a prior header length check" in f.message for f in findings)
 
+    def test_records_json_import_in_gateway_or_worker_is_flagged(self):
+        for path in (GATEWAY, WORKER):
+            findings = analyze_fixture(
+                "wire_safety/bad_records_json.py", path, rules=["wire-safety"]
+            )
+            assert len(findings) == 3, path  # import, from-package, from-module
+            assert all("repro.io.records_json" in f.message for f in findings)
+
+    def test_records_json_is_fine_off_the_profile_wire_path(self):
+        text = "from repro.io.records_json import profile_to_dict\n"
+        assert analyze_text(text, "src/repro/io/dataset.py", rules=["wire-safety"]) == []
+        assert analyze_text("from repro.io import load_engine\n", WORKER,
+                            rules=["wire-safety"]) == []
+
+    def test_reintroducing_the_json_profile_path_fails_the_check(self, repo_source):
+        source = repo_source(WORKER).replace(
+            "from repro.cluster import wire\n",
+            "from repro.cluster import wire\nfrom repro.io.records_json import profile_from_dict\n",
+        )
+        findings = analyze_text(source, WORKER, rules=["wire-safety"])
+        assert any("repro.io.records_json" in f.message for f in findings)
+
     def test_rule_is_scoped_to_wire_modules(self):
         # The worker bundle exception aside, pickle elsewhere is not this rule's beat.
         assert analyze_text("import pickle\n", "src/repro/io/pipeline.py",

@@ -17,8 +17,11 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import wire
+from repro.data.records import Profile, Tweet, Visit
 from repro.errors import (
     ConfigurationError,
     EngineOverloadError,
@@ -291,6 +294,131 @@ def test_async_reader_matches_sync_semantics():
     asyncio.run(scenario())
 
 
+# ------------------------------------------------------------- profile batches
+
+
+def _profile(uid=7, visits=((1.0, 40.5, -73.9), (2.0, 40.6, -73.8)), **fields):
+    tweet = Tweet(
+        uid=fields.pop("tweet_uid", uid),
+        ts=fields.pop("ts", 10.0),
+        content=fields.pop("content", "coffee at the park"),
+        lat=fields.pop("lat", 40.7),
+        lon=fields.pop("lon", -74.0),
+        true_pid=fields.pop("true_pid", 3),
+    )
+    return Profile(
+        uid=uid,
+        tweet=tweet,
+        visit_history=tuple(Visit(*visit) for visit in visits),
+        pid=fields.pop("pid", 3),
+        revision=fields.pop("revision", 2),
+    )
+
+
+def _roundtrip(profiles):
+    rows, visits = wire.encode_profiles(profiles)
+    return wire.decode_profiles(*wire.decode_payload(wire.encode_payload(rows, [visits])))
+
+
+_FINITE = st.floats(allow_nan=False)
+_INTS = st.integers(min_value=-(2**80), max_value=2**80)
+_PROFILES = st.builds(
+    _profile,
+    uid=_INTS,
+    visits=st.lists(st.tuples(_FINITE, _FINITE, _FINITE), max_size=5),
+    tweet_uid=_INTS,
+    ts=_FINITE,
+    content=st.text(),
+    lat=st.none() | _FINITE,
+    lon=st.none() | _FINITE,
+    true_pid=st.none() | _INTS,
+    pid=st.none() | _INTS,
+    revision=st.none() | _INTS,
+)
+
+
+@given(profiles=st.lists(_PROFILES, max_size=6))
+@settings(max_examples=60, deadline=None)
+@example(profiles=[])
+@example(profiles=[_profile(visits=())])
+@example(
+    profiles=[
+        _profile(lat=None, lon=None, pid=None, revision=None, true_pid=None),
+        _profile(uid=2**70, tweet_uid=2**70, content="caf\u00e9 \u6771\u4eac \x00 \U0001f600"),
+    ]
+)
+def test_profile_batch_roundtrips_exactly(profiles):
+    assert _roundtrip(profiles) == profiles
+
+
+def test_profile_batch_layout():
+    rows, visits = wire.encode_profiles([_profile(uid=2**70), _profile(visits=())])
+    assert rows[0] == [2**70, 2**70, 10.0, "coffee at the park", 40.7, -74.0, 3, 3, 2, 2]
+    assert [row[-1] for row in rows] == [2, 0]
+    assert len(rows[0]) == len(wire.PROFILE_ROW_FIELDS)
+    assert visits.dtype == np.float64 and visits.shape == (2, 3)
+    assert visits.flags.c_contiguous
+    assert wire.encode_profiles([])[1].shape == (0, 3)
+
+
+def test_profile_batch_preserves_float_bits():
+    """Floats cross as raw float64 bytes or JSON repr, never rounded."""
+    awkward = [0.1 + 0.2, 5e-324, -0.0, 1.7976931348623157e308, float("inf")]
+    profile = _profile(ts=awkward[0], lat=awkward[1], visits=[tuple(awkward[2:])])
+    (decoded,) = _roundtrip([profile])
+    assert decoded == profile
+
+    def floats(p):
+        (visit,) = p.visit_history
+        return np.array([p.ts, p.lat, visit.ts, visit.lat, visit.lon]).tobytes()
+
+    assert floats(decoded) == floats(profile)  # -0.0 == 0.0, but not bit for bit
+
+
+_GOOD_ROWS, _GOOD_VISITS = wire.encode_profiles([_profile(), _profile(uid=8, visits=())])
+
+
+@pytest.mark.parametrize(
+    "rows, arrays, match",
+    [
+        (_GOOD_ROWS, [], "one visits array"),
+        (_GOOD_ROWS, [_GOOD_VISITS, _GOOD_VISITS], "one visits array"),
+        (_GOOD_ROWS, [_GOOD_VISITS.astype(np.float32)], "float64"),
+        (_GOOD_ROWS, [_GOOD_VISITS.astype(np.int64)], "float64"),
+        (_GOOD_ROWS, [_GOOD_VISITS.reshape(-1)], "float64"),
+        (_GOOD_ROWS, [_GOOD_VISITS.reshape(1, 2, 3)], "float64"),
+        (_GOOD_ROWS, [np.zeros((2, 4))], "float64"),
+        ({"rows": _GOOD_ROWS}, [_GOOD_VISITS], "must be a list"),
+        (None, [_GOOD_VISITS], "must be a list"),
+        ([_GOOD_ROWS[0][:-1], _GOOD_ROWS[1]], [_GOOD_VISITS], "list of 10"),
+        ([_GOOD_ROWS[0] + [0], _GOOD_ROWS[1]], [_GOOD_VISITS], "list of 10"),
+        ([tuple(_GOOD_ROWS[0])], [_GOOD_VISITS], "list of 10"),
+        ([_GOOD_ROWS[0][:-1] + [-1], _GOOD_ROWS[1][:-1] + [3]], [_GOOD_VISITS], "non-negative"),
+        ([_GOOD_ROWS[0][:-1] + [2.0], _GOOD_ROWS[1]], [_GOOD_VISITS], "non-negative int"),
+        ([_GOOD_ROWS[0][:-1] + ["2"], _GOOD_ROWS[1]], [_GOOD_VISITS], "non-negative int"),
+        ([_GOOD_ROWS[0][:-1] + [True], _GOOD_ROWS[1]], [_GOOD_VISITS], "non-negative int"),
+        ([_GOOD_ROWS[0][:-1] + [1], _GOOD_ROWS[1]], [_GOOD_VISITS], "count 1 visits"),
+        ([_GOOD_ROWS[0], _GOOD_ROWS[1][:-1] + [1]], [_GOOD_VISITS], "count 3 visits"),
+        ([], [_GOOD_VISITS], "count 0 visits"),
+        ([["x"] + _GOOD_ROWS[0][1:], _GOOD_ROWS[1]], [_GOOD_VISITS], "invalid profile row"),
+        ([_GOOD_ROWS[0][:2] + [None] + _GOOD_ROWS[0][3:]], [_GOOD_VISITS], "invalid profile row"),
+        ([_GOOD_ROWS[0][:4] + [{}] + _GOOD_ROWS[0][5:]], [_GOOD_VISITS], "invalid profile row"),
+        ([_GOOD_ROWS[0][:3] + [7] + _GOOD_ROWS[0][4:]], [_GOOD_VISITS], "content must be"),
+    ],
+)
+def test_malformed_profile_batch_raises_typed(rows, arrays, match):
+    with pytest.raises(WireProtocolError, match=match):
+        wire.decode_profiles(rows, arrays)
+
+
+def test_wire_version_bumped_for_columnar_profile_batches():
+    """A version-2 peer's frame is refused, never misparsed as a batch."""
+    assert wire.WIRE_VERSION == 3
+    header = struct.pack(">IBB", 0, 2, wire.FRAME_CALL)
+    with pytest.raises(WireProtocolError, match="unknown wire protocol version 2"):
+        wire._parse_header(header, wire.MAX_FRAME_BYTES)
+
+
 # ------------------------------------------------------------------- fuzz loop
 
 
@@ -301,7 +429,11 @@ def test_payload_decoder_fuzz_never_hangs_or_crashes():
     allocation — is a decoder bug.  Seeded, so failures reproduce.
     """
     rng = np.random.default_rng(20260808)
+    batch_rows, batch_visits = wire.encode_profiles(
+        [_profile(), _profile(uid=2**70, visits=()), _profile(uid=9, lat=None, lon=None)]
+    )
     seeds = [
+        wire.encode_payload(batch_rows, [batch_visits]),
         wire.encode_payload({"op": "gather", "profiles": [1, 2, 3]}),
         wire.encode_payload(None, [np.arange(32, dtype=np.float64).reshape(4, 8)]),
         wire.encode_payload({"k": "v"}, [np.arange(3, dtype=np.int32), np.zeros(2)]),
@@ -323,10 +455,12 @@ def test_payload_decoder_fuzz_never_hangs_or_crashes():
             base = bytearray(rng.integers(0, 256, size=int(rng.integers(0, 200))).astype(np.uint8).tobytes())
         try:
             body, arrays = wire.decode_payload(bytes(base))
+            assert isinstance(arrays, list)
+            profiles = wire.decode_profiles(body, arrays)
         except WireProtocolError:
             pass  # the only acceptable failure
         else:
-            assert isinstance(arrays, list)
+            assert all(isinstance(profile, Profile) for profile in profiles)
 
 
 def test_frame_stream_fuzz_fails_typed_and_promptly():

@@ -20,6 +20,7 @@ own.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -31,7 +32,8 @@ import pytest
 
 from repro.api import ColocationEngine, JudgeRequest
 from repro.cluster import ClusterMetrics, MicroBatcher, WorkerPool
-from repro.errors import ConfigurationError, WorkerCrashError
+from repro.data.records import Pair
+from repro.errors import ConfigurationError, WireProtocolError, WorkerCrashError
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +123,42 @@ def test_typed_error_crosses_the_wire_and_worker_survives(pool):
     with pytest.raises(ConfigurationError, match="unknown worker operation"):
         pool._call(0, "definitely-not-an-op", {})
     assert pool.ping(0)  # error frames do not poison the connection
+
+
+@pytest.mark.parametrize(
+    "body, arrays",
+    [
+        ({"profiles": [[1, 2]]}, (np.zeros((0, 3)),)),  # a row of 2, not 10
+        ({"profiles": [[1, 1, 0.0, "x", None, None, None, None, None, 2]]}, (np.zeros((1, 3)),)),
+        ({"profiles": []}, (np.zeros((0, 2)),)),  # visits without 3 columns
+        ({"profiles": []}, ()),  # no visits array at all
+    ],
+)
+def test_malformed_gather_is_a_typed_error_and_the_wire_stays_in_sync(
+    pool, reference_engine, serving_pairs, body, arrays
+):
+    with pytest.raises(WireProtocolError):
+        pool._call(0, "gather", body, arrays)
+    assert all(pool.workers_alive())
+    assert np.array_equal(
+        pool.predict_proba(serving_pairs), reference_engine.predict_proba(serving_pairs)
+    )
+
+
+def test_uid_beyond_uint64_serves_bit_for_bit(pool, reference_engine, serving_pairs):
+    big = [
+        Pair(
+            left=dataclasses.replace(pair.left, uid=2**64 + index),
+            right=dataclasses.replace(pair.right, uid=2**70 + index),
+            co_label=pair.co_label,
+        )
+        for index, pair in enumerate(serving_pairs[:6])
+    ]
+    assert np.array_equal(pool.predict_proba(big), reference_engine.predict_proba(big))
+    assert np.array_equal(
+        pool.features([pair.left for pair in big]),
+        reference_engine.features([pair.left for pair in big]),
+    )
 
 
 def test_resolve_engine_passes_pool_through(pool):
