@@ -13,8 +13,8 @@ This benchmark sweeps batch sizes and tweet lengths for all five encoders
 speedup, and checks the two paths agree to 1e-9 on every configuration (the
 property tests in ``tests/features/test_content_batch.py`` pin the same
 contract).  It also times the serving path, ``encode_batch`` inside
-``inference_mode`` (the plain-NumPy twins), and fails unless its rows equal
-the ``Tensor`` ``encode_batch`` rows exactly.  The headline figure is
+``inference_mode`` (the same batch definition run on plain arrays), and fails
+unless its rows equal the ``Tensor`` ``encode_batch`` rows exactly.  The headline figure is
 BiLSTM-C at 256 profiles x 16 tokens, guarded at >= 3x.
 
 Run standalone::
@@ -78,7 +78,7 @@ def _batch(encoder, profiles: list[Profile]) -> np.ndarray:
 
 
 def _served(encoder, profiles: list[Profile]) -> np.ndarray:
-    """The serving path: ``encode_batch`` through the plain-NumPy twins."""
+    """The serving path: ``encode_batch`` on plain arrays (no autograd graph)."""
     with inference_mode():
         return encoder.encode_batch(profiles).data
 

@@ -64,7 +64,7 @@ def main() -> None:
     print(f"Friendship graph: {len(friendships)} edges among test users")
 
     service = FriendsNotificationService(
-        judge=pipeline,
+        pipeline,
         registry=dataset.registry,
         friendships=friendships,
         delta_t=dataset.delta_t,

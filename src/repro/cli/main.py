@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -50,9 +49,6 @@ from repro.io.configs import config_to_dict
 from repro.ssl import SSLTrainingConfig
 from repro.text import SkipGramConfig
 from repro.version import __version__
-
-#: Legacy ``--mode`` values mapped onto registry judge names.
-MODE_TO_JUDGE = {"two-phase": "hisrect", "one-phase": "one-phase"}
 
 
 # ------------------------------------------------------------------- commands
@@ -90,28 +86,11 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     )
 
 
-def _selected_judge(args: argparse.Namespace) -> str:
-    """Resolve ``--judge`` / deprecated ``--mode`` to a registry judge name."""
-    if args.mode is not None:
-        # DeprecationWarning alone is hidden by default warning filters, so
-        # CLI users also get a plain stderr notice.
-        print("warning: --mode is deprecated; use --judge hisrect / --judge one-phase", file=sys.stderr)
-        warnings.warn(
-            "--mode is deprecated; use --judge hisrect / --judge one-phase",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if args.judge is not None and args.judge != MODE_TO_JUDGE[args.mode]:
-            raise ReproError(f"--mode {args.mode} conflicts with --judge {args.judge}")
-        return MODE_TO_JUDGE[args.mode]
-    return args.judge or "hisrect"
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     """Train a judge selected by registry name on a saved dataset."""
     from repro.colocation.variants import PIPELINE_VARIANTS
 
-    judge_name = _selected_judge(args)
+    judge_name = args.judge
     persistable = judge_name in PIPELINE_VARIANTS
     if persistable and args.out is None:
         raise ReproError("--out is required for pipeline-backed judges")
@@ -383,7 +362,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
         judge = load_pipeline(args.model)
     knobs = {
         "cache_size": args.cache_size,
-        "batch_size": args.batch_size,
         "arena_dir": args.arena_dir,
     }
     if args.connect:
@@ -453,14 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument(
         "--judge",
         choices=registry_mod.names("judge"),
-        default=None,
+        default="hisrect",
         help="judge registry name (default: hisrect)",
-    )
-    train.add_argument(
-        "--mode",
-        choices=sorted(MODE_TO_JUDGE),
-        default=None,
-        help="deprecated; use --judge",
     )
     train.add_argument("--ssl-iterations", type=int, default=240)
     train.add_argument("--judge-epochs", type=int, default=30)
@@ -553,12 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--arena-dir",
         default=None,
         help="memmap arena slice directory for the cold feature tier",
-    )
-    worker.add_argument(
-        "--batch-size",
-        type=int,
-        default=1024,
-        help="engine scoring chunk (validated only: a worker featurizes, never scores)",
     )
     worker.add_argument(
         "--once", action="store_true", help="exit after the first connection (with --listen)"

@@ -237,7 +237,7 @@ class WorkerPool(PartitionedEngine):
         fairness rule as :class:`repro.cluster.ShardedEngine`.
     threshold / batch_size:
         As on :class:`ColocationEngine`.  The gateway scores and decides;
-        workers only featurize, so the threshold never leaves this process.
+        workers only featurize, so neither knob leaves this process.
     respawn:
         Respawn a dead worker on the next call routed to it, warm-started
         from the rows most recently seen by :meth:`snapshot`/:meth:`restore`.
@@ -404,7 +404,6 @@ class WorkerPool(PartitionedEngine):
                 args=(self._bundle_dir, self._address[0], self._address[1], token, index),
                 kwargs={
                     "cache_size": self._worker_cache_sizes[index],
-                    "batch_size": self.batch_size,
                     "arena_dir": shard_arena_dir(self.arena_dir, index, prefix="worker"),
                 },
                 daemon=True,

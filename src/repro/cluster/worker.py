@@ -228,21 +228,10 @@ def serve_connection(sock, engine) -> None:
         wire.send_frame(sock, wire.FRAME_RESULT, result)
 
 
-def _build_engine(
-    judge,
-    *,
-    cache_size: int,
-    batch_size: int,
-    arena_dir: str | None = None,
-):
+def _build_engine(judge, *, cache_size: int, arena_dir: str | None = None):
     from repro.api.engine import ColocationEngine
 
-    return ColocationEngine(
-        judge,
-        cache_size=cache_size,
-        batch_size=batch_size,
-        arena_dir=arena_dir,
-    )
+    return ColocationEngine(judge, cache_size=cache_size, arena_dir=arena_dir)
 
 
 def _install_sigterm_exit() -> None:
@@ -261,7 +250,6 @@ def run_worker_client(
     worker_id: int,
     *,
     cache_size: int = 4096,
-    batch_size: int = 1024,
     arena_dir: str | None = None,
 ) -> None:
     """Connect to a gateway, identify with a HELLO frame, serve until shutdown.
@@ -274,12 +262,7 @@ def run_worker_client(
     predecessor's warm set off disk instead of receiving it over the wire.
     """
     _install_sigterm_exit()
-    engine = _build_engine(
-        judge,
-        cache_size=cache_size,
-        batch_size=batch_size,
-        arena_dir=arena_dir,
-    )
+    engine = _build_engine(judge, cache_size=cache_size, arena_dir=arena_dir)
     sock = socket.create_connection((host, port), timeout=60.0)
     try:
         sock.settimeout(None)
@@ -305,7 +288,6 @@ def worker_main(
     token: str,
     worker_id: int,
     cache_size: int = 4096,
-    batch_size: int = 1024,
     arena_dir: str | None = None,
 ) -> None:
     """Entry point of a spawned worker process: load the bundle, then serve.
@@ -326,7 +308,6 @@ def worker_main(
         token,
         worker_id,
         cache_size=cache_size,
-        batch_size=batch_size,
         arena_dir=arena_dir,
     )
 
@@ -337,7 +318,6 @@ def run_worker_listener(
     port: int = 0,
     *,
     cache_size: int = 4096,
-    batch_size: int = 1024,
     arena_dir: str | None = None,
     once: bool = False,
     ready=None,
@@ -350,12 +330,7 @@ def run_worker_listener(
     learn an ephemeral port.  ``once`` exits after the first connection.
     """
     _install_sigterm_exit()
-    engine = _build_engine(
-        judge,
-        cache_size=cache_size,
-        batch_size=batch_size,
-        arena_dir=arena_dir,
-    )
+    engine = _build_engine(judge, cache_size=cache_size, arena_dir=arena_dir)
     listener = socket.create_server((host, port))
     try:
         if ready is not None:

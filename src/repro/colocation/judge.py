@@ -29,7 +29,7 @@ from repro.core.protocols import (
 from repro.data.records import Pair, Profile
 from repro.errors import NotFittedError, TrainingError
 from repro.features.hisrect import EmbeddingNetwork, HisRectFeaturizer
-from repro.nn.autograd import Tensor, inference_mode, sigmoid_array
+from repro.nn.autograd import Tensor, inference_mode, sigmoid
 from repro.nn.layers import MLP, Linear
 from repro.nn.losses import binary_cross_entropy_with_logits
 from repro.nn.module import Module
@@ -254,7 +254,7 @@ class HisRectCoLocationJudge:
             return np.zeros(0)
         with inference_mode():
             logits = self.network(Tensor(left), Tensor(right)).data
-        return sigmoid_array(logits)
+        return sigmoid(logits)
 
     def predict_proba(self, pairs: list[Pair]) -> np.ndarray:
         """Co-location probability for each pair."""

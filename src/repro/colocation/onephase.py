@@ -19,7 +19,7 @@ from repro.core.protocols import pairwise_probability_matrix
 from repro.data.records import Pair, Profile
 from repro.errors import NotFittedError, TrainingError
 from repro.features.hisrect import HisRectFeaturizer
-from repro.nn.autograd import Tensor, inference_mode, sigmoid_array
+from repro.nn.autograd import Tensor, inference_mode, sigmoid
 from repro.nn.losses import binary_cross_entropy_with_logits
 from repro.nn.optim import Adam, clip_grad_norm
 
@@ -116,7 +116,7 @@ class OnePhaseModel:
             return np.zeros(0)
         with inference_mode():
             logits = self.network(Tensor(left), Tensor(right)).data
-        return sigmoid_array(logits)
+        return sigmoid(logits)
 
     def predict_proba(self, pairs: list[Pair]) -> np.ndarray:
         """Co-location probabilities for pairs."""

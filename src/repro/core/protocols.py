@@ -51,14 +51,15 @@ def featurize_in_chunks(featurizer, profiles: "list[Profile]", chunk: int = FEAT
 
     The shared implementation behind every judge's ``featurize_profiles``:
     identical chunking everywhere keeps feature rows bit-identical no matter
-    which entry point computed them.  ``featurize`` runs the plain-NumPy
-    inference twins and builds no autograd graph; the chunk bounds the padded
-    ``(B, T, M)`` word-vector batch (``T`` is the chunk's longest tweet) and
-    the per-step state arrays of one forward pass.
+    which entry point computed them.  ``featurize`` runs each layer's batch
+    definition on plain arrays and builds no autograd graph; the chunk bounds
+    the padded ``(B, T, M)`` word-vector batch (``T`` is the chunk's longest
+    tweet) and the per-step state arrays of one forward pass.
 
-    Feature rows are independent of their chunk companions *except* for
-    single-profile chunks, where BLAS takes a different (gemv) kernel and
-    rows drift by ~1e-16 from their batched values.  A singleton chunk is
+    Feature rows are independent of their chunk companions, including how far
+    the chunk's longest tweet pads them, *except* for single-profile chunks,
+    where BLAS takes a different (gemv) kernel and rows drift by ~1e-16 from
+    their batched values.  A singleton chunk is
     therefore padded with a duplicate of its profile and the extra row
     dropped, so every row comes off the batched kernel and any partition of
     a workload into chunks — including the per-shard miss batches of

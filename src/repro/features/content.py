@@ -27,23 +27,23 @@ rows.  Its per-profile word-vector cache is a bounded LRU
 (:attr:`TextVectorizer.cache_stats` reports hits/misses/evictions), so
 long-running serving cannot leak one entry per distinct tweet forever.
 
-**Batch contract.**  Every encoder exposes three paths:
+**Batch contract.**  Every encoder exposes two paths:
 
 * ``encode(profile)`` — the scalar reference implementation, one profile at a
   time; kept as the documented ground truth.
-* ``encode_batch(profiles)`` — the training hot path:
+* ``encode_batch(profiles)`` — the hot path:
   ``TextVectorizer.vectorize_batch`` right-pads the ``B`` tweets into one
-  ``(B, T, M)`` tensor with a length vector, the recurrent layers step over
+  ``(B, T, M)`` batch with a length vector, the recurrent layers step over
   time once for the whole batch (``(B, 4N)`` fused gate matmuls instead of
   ``B`` separate ``(1, 4N)`` calls), and masked mean/attention pooling
   restricts each row's reduction to its valid positions.  Rows match
   ``encode`` within 1e-9 (``tests/features/test_content_batch.py`` pins the
-  contract), and the path is autograd-compatible.
-* the serving path: ``encode_batch`` called inside
-  :func:`repro.nn.autograd.inference_mode` runs each encoder's
-  ``_infer_batch``, the plain-NumPy twin of ``_encode_batch`` built from the
-  layers' ``infer_batch`` twins.  Same NumPy ops in the same order on
-  ``param.data`` read at call time, so rows are bit-identical to the
+  contract) and do not depend on the other profiles of the batch.  Each
+  encoder's ``_encode_batch`` is written once over layers that accept a
+  ``Tensor`` or an ``ndarray``: training hands it a ``Tensor`` and gets the
+  autograd graph; inside :func:`repro.nn.autograd.inference_mode` it gets
+  the plain array and runs the same NumPy ops in the same order on
+  ``param.data`` read at call time, so serving rows are bit-identical to the
   ``Tensor`` path with no graph and nothing to invalidate after training
   (``tests/nn/test_inference_twins.py`` pins exact equality).
 """
@@ -56,12 +56,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.records import Profile
-from repro.nn.autograd import Tensor, is_inference_mode, relu_array
+from repro.nn.autograd import Tensor, is_inference_mode, relu
 from repro.nn.conv import TemporalConv
 from repro.nn.gru import BiGRU
 from repro.nn.layers import Linear
 from repro.nn.module import Module
-from repro.nn.pooling import AttentionPooling, masked_mean_over_time, masked_mean_over_time_array
+from repro.nn.pooling import AttentionPooling, masked_mean_over_time
 from repro.nn.recurrent import BiLSTM, ConvLSTM, time_mask
 from repro.text.skipgram import SkipGramModel
 from repro.text.tokenize import STOPWORD_TOKEN, Tokenizer, Vocabulary
@@ -223,24 +223,23 @@ class ContentEncoder(Module):
     def encode_batch(self, profiles: list[Profile]) -> Tensor:
         """The ``(B, feature_dim)`` content features of a batch of profiles.
 
-        The hot path: one padded ``(B, T, M)`` tensor, batched recurrence and
+        The hot path: one padded ``(B, T, M)`` batch, batched recurrence and
         masked pooling.  Each row matches :meth:`encode` within 1e-9.  Inside
-        :func:`repro.nn.autograd.inference_mode` the rows come from the
-        plain-NumPy twin :meth:`_infer_batch`, bit-identical and graph-free.
+        :func:`repro.nn.autograd.inference_mode` :meth:`_encode_batch` runs on
+        the plain array, bit-identical and graph-free.
         """
         if not profiles:
             return Tensor(np.zeros((0, self.config.feature_dim)))
         batch, lengths = self.vectorizer.vectorize_batch(profiles)
         if is_inference_mode():
-            return Tensor(self._infer_batch(batch, lengths))
+            return Tensor(self._encode_batch(batch, lengths))
         return self._encode_batch(Tensor(batch), lengths)
 
-    def _encode_batch(self, sequences: Tensor, lengths: np.ndarray) -> Tensor:
-        """Encode a padded ``(B, T, M)`` tensor with its length vector."""
-        raise NotImplementedError
+    def _encode_batch(self, sequences, lengths: np.ndarray):
+        """Encode a padded ``(B, T, M)`` ``Tensor`` or array with its length vector.
 
-    def _infer_batch(self, sequences: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Plain-NumPy twin of :meth:`_encode_batch`."""
+        Returns ``(B, feature_dim)`` rows of the same kind as ``sequences``.
+        """
         raise NotImplementedError
 
     def forward(self, profile: Profile) -> Tensor:
@@ -280,17 +279,12 @@ class BiLSTMCContentEncoder(ContentEncoder):
         # Conv position i is valid iff its last row i + kh - 1 is a real token.
         return time_mask(lengths - (kernel_height - 1), positions)
 
-    def _encode_batch(self, sequences: Tensor, lengths: np.ndarray) -> Tensor:
+    def _encode_batch(self, sequences, lengths: np.ndarray):
         conv_mask = self._conv_mask(lengths, sequences.shape[1] - self.conv.kernel_height + 1)
         stacked = self.bilstm.forward_batch(sequences, lengths, stacked_channels=True)
-        feature_map = self.conv.forward_batch(stacked).relu()  # (B, T - 2, N)
+        feature_map = relu(self.conv.forward_batch(stacked))  # (B, T - 2, N)
         return masked_mean_over_time(feature_map, conv_mask)
 
-    def _infer_batch(self, sequences: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        conv_mask = self._conv_mask(lengths, sequences.shape[1] - self.conv.kernel_height + 1)
-        stacked = self.bilstm.infer_batch(sequences, lengths, stacked_channels=True)
-        feature_map = relu_array(self.conv.infer_batch(stacked))
-        return masked_mean_over_time_array(feature_map, conv_mask)
 
 
 class BLSTMContentEncoder(ContentEncoder):
@@ -315,15 +309,11 @@ class BLSTMContentEncoder(ContentEncoder):
         pooled = states.mean(axis=0).reshape(1, 2 * self.config.feature_dim)
         return self.project(pooled).relu().reshape(self.config.feature_dim)
 
-    def _encode_batch(self, sequences: Tensor, lengths: np.ndarray) -> Tensor:
+    def _encode_batch(self, sequences, lengths: np.ndarray):
         states = self.bilstm.forward_batch(sequences, lengths)  # (B, T, 2N)
         pooled = masked_mean_over_time(states, time_mask(lengths, states.shape[1]))
-        return self.project(pooled).relu()
+        return relu(self.project(pooled))
 
-    def _infer_batch(self, sequences: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        states = self.bilstm.infer_batch(sequences, lengths)
-        pooled = masked_mean_over_time_array(states, time_mask(lengths, states.shape[1]))
-        return relu_array(self.project.infer(pooled))
 
 
 class ConvLSTMContentEncoder(ContentEncoder):
@@ -342,15 +332,11 @@ class ConvLSTMContentEncoder(ContentEncoder):
         pooled = states.mean(axis=0).reshape(1, self.vectorizer.word_dim)
         return self.project(pooled).relu().reshape(self.config.feature_dim)
 
-    def _encode_batch(self, sequences: Tensor, lengths: np.ndarray) -> Tensor:
+    def _encode_batch(self, sequences, lengths: np.ndarray):
         states = self.convlstm.forward_batch(sequences, lengths)  # (B, T, M)
         pooled = masked_mean_over_time(states, time_mask(lengths, states.shape[1]))
-        return self.project(pooled).relu()
+        return relu(self.project(pooled))
 
-    def _infer_batch(self, sequences: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        states = self.convlstm.infer_batch(sequences, lengths)
-        pooled = masked_mean_over_time_array(states, time_mask(lengths, states.shape[1]))
-        return relu_array(self.project.infer(pooled))
 
 
 class BiGRUContentEncoder(ContentEncoder):
@@ -374,15 +360,11 @@ class BiGRUContentEncoder(ContentEncoder):
         pooled = states.mean(axis=0).reshape(1, 2 * self.config.feature_dim)
         return self.project(pooled).relu().reshape(self.config.feature_dim)
 
-    def _encode_batch(self, sequences: Tensor, lengths: np.ndarray) -> Tensor:
+    def _encode_batch(self, sequences, lengths: np.ndarray):
         states = self.bigru.forward_batch(sequences, lengths)  # (B, T, 2N)
         pooled = masked_mean_over_time(states, time_mask(lengths, states.shape[1]))
-        return self.project(pooled).relu()
+        return relu(self.project(pooled))
 
-    def _infer_batch(self, sequences: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        states = self.bigru.infer_batch(sequences, lengths)
-        pooled = masked_mean_over_time_array(states, time_mask(lengths, states.shape[1]))
-        return relu_array(self.project.infer(pooled))
 
 
 class AttentionContentEncoder(ContentEncoder):
@@ -412,15 +394,11 @@ class AttentionContentEncoder(ContentEncoder):
         pooled = self.pooling(states).reshape(1, 2 * self.config.feature_dim)
         return self.project(pooled).relu().reshape(self.config.feature_dim)
 
-    def _encode_batch(self, sequences: Tensor, lengths: np.ndarray) -> Tensor:
+    def _encode_batch(self, sequences, lengths: np.ndarray):
         states = self.bilstm.forward_batch(sequences, lengths)  # (B, T, 2N)
         pooled = self.pooling.forward_batch(states, time_mask(lengths, states.shape[1]))
-        return self.project(pooled).relu()
+        return relu(self.project(pooled))
 
-    def _infer_batch(self, sequences: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        states = self.bilstm.infer_batch(sequences, lengths)
-        pooled = self.pooling.infer_batch(states, time_mask(lengths, states.shape[1]))
-        return relu_array(self.project.infer(pooled))
 
     def attention_weights(self, profile: Profile) -> np.ndarray:
         """The per-token attention distribution (for inspection)."""

@@ -294,8 +294,8 @@ class HisRectFeaturizer(Module):
 
         Runs :meth:`forward` inside :func:`repro.nn.autograd.inference_mode`,
         so ``ContentEncoder.encode_batch`` and the combiner's ``MLP.forward``
-        compute through their plain-NumPy twins: no autograd graph, dropout
-        skipped, rows bit-identical to the ``Tensor`` path.  The module's
+        run their layers' one batch definition on plain arrays: no autograd
+        graph, dropout skipped, rows bit-identical to the ``Tensor`` path.  The module's
         ``training`` flag is never touched, so concurrent callers and a
         featurizer left in training mode get the same rows.
         """

@@ -13,10 +13,20 @@ gradient-check tests in ``tests/nn``.
 
 Serving needs no gradients.  Inside :func:`inference_mode` (a thread-local
 ``torch.no_grad``/``inference_mode`` analogue) ops record no parents and no
-backward closures, so no reference cycles reach the garbage collector, and
-layers dispatch to their plain-NumPy inference twins (see
-:func:`is_inference_mode`).  Another thread training at the same time is
-unaffected.
+backward closures, so no reference cycles reach the garbage collector, and the
+serving entry points (``ContentEncoder.encode_batch``, ``MLP.forward``) hand
+plain arrays to their layers (see :func:`is_inference_mode`).  Another thread
+training at the same time is unaffected.
+
+**One definition per layer.**  The free functions :func:`sigmoid`,
+:func:`tanh`, :func:`relu`, :func:`exp`, :func:`stack` and
+:func:`concatenate`, plus :func:`read` (a :class:`Parameter` as the kind of
+the input) and :func:`lift` (a constant as the kind of the input), accept
+either a :class:`Tensor` or an ``ndarray`` and dispatch on its type.  A
+layer written over them, with a ``Tensor`` as the left operand of every
+mixed arithmetic op, runs the same NumPy ops in the same order on both
+kinds: ``Tensor``s record the graph training needs, arrays skip the
+interpreter entirely, and the two outputs are bit-identical by construction.
 """
 
 from __future__ import annotations
@@ -42,9 +52,9 @@ def inference_mode() -> Iterator[None]:
     """Run the block without autograd bookkeeping, on this thread only.
 
     Tensors made inside never require grad, ``backward()`` raises, dropout is
-    skipped, and layers with an inference twin (``ContentEncoder.encode_batch``,
-    ``MLP.forward``) compute through plain NumPy.  Nests; the previous state is
-    restored on exit.
+    skipped, and the serving entry points (``ContentEncoder.encode_batch``,
+    ``MLP.forward``) run their layers on plain arrays.  Nests; the previous
+    state is restored on exit.
     """
     previous = _inference.active
     _inference.active = True
@@ -312,7 +322,7 @@ class Tensor:
         return Tensor._make(data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        data = sigmoid_array(self.data)
+        data = sigmoid(self.data)
 
         def backward(g: Array):
             return (g * data * (1.0 - data),)
@@ -401,14 +411,41 @@ class Tensor:
         return Tensor._make(data, (self,), backward)
 
 
-def sigmoid_array(x: Array) -> Array:
-    """The logistic sigmoid of :meth:`Tensor.sigmoid` on a plain array."""
+def sigmoid(x):
+    """Logistic sigmoid of a :class:`Tensor` or an ``ndarray``, same kind out."""
+    if isinstance(x, Tensor):
+        return x.sigmoid()
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def relu_array(x: Array) -> Array:
-    """The rectifier of :meth:`Tensor.relu` on a plain array."""
-    return x * (x > 0)
+def tanh(x):
+    """Hyperbolic tangent of a :class:`Tensor` or an ``ndarray``, same kind out."""
+    return x.tanh() if isinstance(x, Tensor) else np.tanh(x)
+
+
+def relu(x):
+    """Rectifier of a :class:`Tensor` or an ``ndarray``, same kind out."""
+    return x.relu() if isinstance(x, Tensor) else x * (x > 0)
+
+
+def exp(x):
+    """Exponential of a :class:`Tensor` or an ``ndarray``, same kind out."""
+    return x.exp() if isinstance(x, Tensor) else np.exp(x)
+
+
+def read(param: Tensor, like):
+    """A parameter as the kind of ``like``.
+
+    The parameter itself when ``like`` is a :class:`Tensor` (so gradients
+    reach it), else its array, read at call time so a reload or an optimiser
+    step is seen at once.
+    """
+    return param if isinstance(like, Tensor) else param.data
+
+
+def lift(value: Array, like):
+    """A constant array as the kind of ``like``: wrapped when ``like`` is a :class:`Tensor`."""
+    return Tensor(value) if isinstance(like, Tensor) else value
 
 
 def as_tensor(value) -> Tensor:
@@ -418,8 +455,10 @@ def as_tensor(value) -> Tensor:
     return Tensor(value)
 
 
-def concatenate(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
-    """Concatenate tensors along an axis, differentiably."""
+def concatenate(tensors: Sequence, axis: int = -1):
+    """Concatenate along an axis: differentiably if any input is a :class:`Tensor`."""
+    if not any(isinstance(t, Tensor) for t in tensors):
+        return np.concatenate(tensors, axis=axis)
     tensors = [as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
@@ -436,8 +475,15 @@ def concatenate(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return Tensor._make(data, tensors, backward)
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis, differentiably."""
+def stack(tensors: Sequence, axis: int = 0):
+    """Stack along a new axis: differentiably if any input is a :class:`Tensor`."""
+    if not any(isinstance(t, Tensor) for t in tensors):
+        # ``np.stack``'s result (same values, C order) in half its time on the
+        # few tiny per-step arrays the recurrent and conv layers stack.
+        joined = np.array(tensors)
+        axes = list(range(1, joined.ndim))
+        axes.insert(axis % joined.ndim, 0)
+        return np.ascontiguousarray(joined.transpose(axes))
     tensors = [as_tensor(t) for t in tensors]
     data = np.stack([t.data for t in tensors], axis=axis)
 

@@ -8,14 +8,16 @@ the fixed ``N``-dimensional content feature ``Fc(r)``.
 
 :class:`Conv2D` is a general valid-mode 2-D convolution over ``(H, W, C_in)``
 inputs; :class:`TemporalConv` is the specific "3-row filter bank over time"
-instantiation the featurizer uses.
+instantiation the featurizer uses.  Their ``forward_batch`` is written once
+over the type-dispatching ops of :mod:`repro.nn.autograd`: a ``Tensor`` batch
+(training) and an ``ndarray`` batch (serving) run the same NumPy ops.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.autograd import Tensor, concatenate, stack
+from repro.nn.autograd import Tensor, concatenate, read, stack
 from repro.nn.module import Module, Parameter
 
 
@@ -77,7 +79,7 @@ class Conv2D(Module):
             rows.append(row)
         return concatenate(rows, axis=0)
 
-    def forward_batch(self, images: Tensor) -> Tensor:
+    def forward_batch(self, images):
         """Convolve a ``(B, H, W, C_in)`` batch into ``(B, H', W', C_out)``.
 
         Each output position is one ``(B, fan_in) @ (fan_in, C_out)`` matmul
@@ -86,27 +88,14 @@ class Conv2D(Module):
         """
         batch, height, width, channels = images.shape
         out_h, out_w = self._output_size(height, width, channels)
-        positions = []
-        for i in range(out_h):
-            for j in range(out_w):
-                patch = images[:, i : i + self.kernel_height, j : j + self.kernel_width, :]
-                flat = patch.reshape(batch, self.kernel_height * self.kernel_width * channels)
-                positions.append(flat @ self.weight + self.bias)
-        grid = stack(positions, axis=1)  # (B, out_h * out_w, C_out)
-        return grid.reshape(batch, out_h, out_w, self.out_channels)
-
-    def infer_batch(self, images: np.ndarray) -> np.ndarray:
-        """Plain-NumPy twin of :meth:`forward_batch` (bit-identical output)."""
-        batch, height, width, channels = images.shape
-        out_h, out_w = self._output_size(height, width, channels)
-        weight, bias = self.weight.data, self.bias.data
+        weight, bias = read(self.weight, images), read(self.bias, images)
         positions = []
         for i in range(out_h):
             for j in range(out_w):
                 patch = images[:, i : i + self.kernel_height, j : j + self.kernel_width, :]
                 flat = patch.reshape(batch, self.kernel_height * self.kernel_width * channels)
                 positions.append(flat @ weight + bias)
-        grid = np.stack(positions, axis=1)
+        grid = stack(positions, axis=1)  # (B, out_h * out_w, C_out)
         return grid.reshape(batch, out_h, out_w, self.out_channels)
 
 
@@ -145,18 +134,10 @@ class TemporalConv(Module):
         out_h = steps - self.kernel_height + 1
         return feature_map.reshape(out_h, self.width)
 
-    def forward_batch(self, stacked_states: Tensor) -> Tensor:
+    def forward_batch(self, stacked_states):
         """Convolve a ``(B, T, N, 2)`` batch of stacked states into ``(B, T - kh + 1, N)``."""
         batch, steps, width, channels = stacked_states.shape
         if width != self.width or channels != 2:
             raise ValueError(f"expected (B, T, {self.width}, 2) input, got {stacked_states.shape}")
         feature_map = self.conv.forward_batch(stacked_states)  # (B, T - kh + 1, 1, width)
-        return feature_map.reshape(batch, steps - self.kernel_height + 1, self.width)
-
-    def infer_batch(self, stacked_states: np.ndarray) -> np.ndarray:
-        """Plain-NumPy twin of :meth:`forward_batch`."""
-        batch, steps, width, channels = stacked_states.shape
-        if width != self.width or channels != 2:
-            raise ValueError(f"expected (B, T, {self.width}, 2) input, got {stacked_states.shape}")
-        feature_map = self.conv.infer_batch(stacked_states)
         return feature_map.reshape(batch, steps - self.kernel_height + 1, self.width)

@@ -7,17 +7,19 @@ reproduction ships as an extension approach (``BGRU`` in
 ``forward`` is the scalar ``(T, input_size)`` reference path,
 ``forward_batch`` steps a right-padded ``(B, T, input_size)`` batch with a
 length vector, fusing the gate matmuls into ``(B, ...)`` calls and freezing
-finished rows' states so valid positions match the scalar path, and
-``infer_batch`` is its bit-identical plain-NumPy serving twin.
+finished rows' states so valid positions match the scalar path.  The batch
+path is written once over the type-dispatching ops of
+:mod:`repro.nn.autograd`, so training passes ``Tensor``s and serving passes
+arrays through the same definition.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.autograd import Tensor, concatenate, sigmoid_array, stack
+from repro.nn.autograd import Tensor, concatenate, lift, read, sigmoid, tanh
 from repro.nn.module import Module, Parameter
-from repro.nn.recurrent import masked_state, masked_state_array, time_mask
+from repro.nn.recurrent import run_masked
 
 
 class GRUCell(Module):
@@ -47,27 +49,20 @@ class GRUCell(Module):
         self.weight_h_n = Parameter(rng.normal(0.0, std_h, size=(hidden_size, hidden_size)))
         self.bias_n = Parameter(np.zeros(hidden_size))
 
-    def forward(self, x: Tensor, h: Tensor) -> Tensor:
-        """One step: ``x`` is ``(1, input_size)``, ``h`` is ``(1, hidden_size)``."""
-        gates = (x @ self.weight_x_zr + h @ self.weight_h_zr + self.bias_zr).sigmoid()
+    def forward(self, x, h):
+        """One step: ``x`` is ``(1, input_size)`` or ``(B, input_size)``, ``h`` matches."""
+        gates = sigmoid(
+            x @ read(self.weight_x_zr, x) + h @ read(self.weight_h_zr, x) + read(self.bias_zr, x)
+        )
         n = self.hidden_size
         z_gate = gates[..., 0:n]
         r_gate = gates[..., n : 2 * n]
-        candidate = (x @ self.weight_x_n + (r_gate * h) @ self.weight_h_n + self.bias_n).tanh()
+        candidate = tanh(
+            x @ read(self.weight_x_n, x)
+            + (r_gate * h) @ read(self.weight_h_n, x)
+            + read(self.bias_n, x)
+        )
         return z_gate * h + (1.0 - z_gate) * candidate
-
-    def infer(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Plain-NumPy twin of :meth:`forward`."""
-        gates = sigmoid_array(
-            x @ self.weight_x_zr.data + h @ self.weight_h_zr.data + self.bias_zr.data
-        )
-        n = self.hidden_size
-        z_gate = gates[..., 0:n]
-        r_gate = gates[..., n : 2 * n]
-        candidate = np.tanh(
-            x @ self.weight_x_n.data + (r_gate * h) @ self.weight_h_n.data + self.bias_n.data
-        )
-        return z_gate * h + (1.0 + (-z_gate)) * candidate
 
 
 class GRU(Module):
@@ -99,36 +94,19 @@ class GRU(Module):
             outputs[t] = h
         return concatenate(outputs, axis=0)
 
-    def forward_batch(self, sequence: Tensor, lengths: np.ndarray, reverse: bool = False) -> Tensor:
+    def forward_batch(self, sequence, lengths: np.ndarray, reverse: bool = False):
         """Run the GRU over a right-padded ``(B, T, input_size)`` batch.
 
-        Returns ``(B, T, hidden_size)`` states; see
-        :meth:`repro.nn.recurrent.LSTM.forward_batch` for the masking contract.
+        Returns ``(B, T, hidden_size)`` states of the same kind as
+        ``sequence``; see :meth:`repro.nn.recurrent.LSTM.forward_batch` for
+        the masking contract.
         """
-        batch, steps = sequence.shape[0], sequence.shape[1]
-        h = Tensor(np.zeros((batch, self.hidden_size)))
-        mask = time_mask(lengths, steps)
-        order = range(steps - 1, -1, -1) if reverse else range(steps)
-        outputs: list[Tensor] = [None] * steps  # type: ignore[list-item]
-        for t in order:
-            h = masked_state(self.cell(sequence[:, t, :], h), h, mask[:, t])
-            outputs[t] = h
-        return stack(outputs, axis=1)
+        zero = lift(np.zeros((sequence.shape[0], self.hidden_size)), sequence)
 
-    def infer_batch(
-        self, sequence: np.ndarray, lengths: np.ndarray, reverse: bool = False
-    ) -> np.ndarray:
-        """Plain-NumPy twin of :meth:`forward_batch` (see :meth:`LSTM.infer_batch`)."""
-        batch, steps = sequence.shape[0], sequence.shape[1]
-        h = np.zeros((batch, self.hidden_size))
-        mask = time_mask(lengths, steps)
-        all_valid = mask.all(axis=0).tolist()
-        outputs = np.empty((batch, steps, self.hidden_size))
-        for t in range(steps - 1, -1, -1) if reverse else range(steps):
-            h_next = self.cell.infer(sequence[:, t, :], h)
-            h = h_next if all_valid[t] else masked_state_array(h_next, h, mask[:, t])
-            outputs[:, t] = h
-        return outputs
+        def step(x_t, h):
+            return (self.cell.forward(x_t, h),)
+
+        return run_masked(step, sequence, lengths, (zero,), reverse=reverse)
 
 
 class BiGRU(Module):
@@ -157,14 +135,8 @@ class BiGRU(Module):
         backward_states = self.backward_gru(sequence, reverse=True)
         return concatenate([forward_states, backward_states], axis=-1)
 
-    def forward_batch(self, sequence: Tensor, lengths: np.ndarray) -> Tensor:
+    def forward_batch(self, sequence, lengths: np.ndarray):
         """Batched bidirectional pass; ``(B, T, 2 * hidden_size)`` states."""
         forward_states = self.forward_gru.forward_batch(sequence, lengths)
         backward_states = self.backward_gru.forward_batch(sequence, lengths, reverse=True)
         return concatenate([forward_states, backward_states], axis=-1)
-
-    def infer_batch(self, sequence: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Plain-NumPy twin of :meth:`forward_batch`."""
-        forward_states = self.forward_gru.infer_batch(sequence, lengths)
-        backward_states = self.backward_gru.infer_batch(sequence, lengths, reverse=True)
-        return np.concatenate([forward_states, backward_states], axis=-1)

@@ -5,12 +5,14 @@ standard deviation 0.01 and stacks ``Linear -> ReLU`` blocks (``Qf``, ``Qe``,
 ``Qe'`` and ``Qc`` layers deep in the featurizer, embeddings and judge); these
 classes provide exactly those pieces.
 
-``infer`` is each serving layer's plain-NumPy twin of ``forward``: the same
-NumPy ops in the same order on ``param.data`` read at call time, so outputs
-are bit-identical to the ``Tensor`` path with no autograd bookkeeping and
-nothing to invalidate after training.  Dropout is skipped.  Inside
-:func:`repro.nn.autograd.inference_mode` :meth:`MLP.forward` computes through
-its twin.
+``Linear``, ``ReLU``, ``Dropout``, ``Sequential`` and ``MLP`` accept either
+a ``Tensor`` or an ``ndarray`` and return the same kind, through the
+type-dispatching ops of :mod:`repro.nn.autograd`.  Inside
+:func:`repro.nn.autograd.inference_mode` :meth:`MLP.forward` hands its layers
+the plain array, so serving runs the same NumPy ops in the same order on
+``param.data`` read at call time: outputs are bit-identical to the ``Tensor``
+path with no autograd bookkeeping and nothing to invalidate after training.
+Dropout is skipped in that mode.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.nn.autograd import Tensor, is_inference_mode, relu_array
+from repro.nn.autograd import Tensor, is_inference_mode, lift, read, relu
 from repro.nn.module import Module, Parameter
 
 
@@ -56,21 +58,15 @@ class Linear(Module):
         self.weight = Parameter(rng.normal(0.0, init_std, size=(in_features, out_features)))
         self.bias = Parameter(np.zeros(out_features))
 
-    def forward(self, x: Tensor) -> Tensor:
-        return x @ self.weight + self.bias
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.weight.data + self.bias.data
+    def forward(self, x):
+        return x @ read(self.weight, x) + read(self.bias, x)
 
 
 class ReLU(Module):
     """Rectified linear unit."""
 
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return relu_array(x)
+    def forward(self, x):
+        return relu(x)
 
 
 class Sigmoid(Module):
@@ -102,14 +98,11 @@ class Dropout(Module):
         self.keep_prob = keep_prob
         self._rng = rng or np.random.default_rng()
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x):
         if not self.training or self.keep_prob >= 1.0 or is_inference_mode():
             return x
         mask = (self._rng.random(x.shape) < self.keep_prob).astype(np.float64) / self.keep_prob
-        return x * Tensor(mask)
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return x
+        return x * lift(mask, x)
 
 
 class Sequential(Module):
@@ -119,14 +112,9 @@ class Sequential(Module):
         super().__init__()
         self.layers = list(modules)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x):
         for layer in self.layers:
-            x = layer(x)
-        return x
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        for layer in self.layers:
-            x = layer.infer(x)
+            x = layer.forward(x)
         return x
 
     def __len__(self) -> int:
@@ -168,13 +156,11 @@ class MLP(Module):
         self.net = Sequential(*layers)
         self.out_features = hidden_sizes[-1]
 
-    def forward(self, x: Tensor) -> Tensor:
-        if is_inference_mode():
-            return Tensor(self.infer(x.data))
+    def forward(self, x):
+        """Run the stack; inside inference mode a ``Tensor`` input runs as its array."""
+        if is_inference_mode() and isinstance(x, Tensor):
+            return Tensor(self.net(x.data))
         return self.net(x)
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return self.net.infer(x)
 
 
 def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:

@@ -10,16 +10,16 @@ The batched content encoders pool right-padded ``(B, T, N)`` sequences
 instead; :func:`masked_mean_over_time`, :func:`masked_softmax_over_time` and
 :meth:`AttentionPooling.forward_batch` take the ``(B, T)`` validity mask of
 :func:`repro.nn.recurrent.time_mask` and reduce each row over its valid
-positions only, matching the scalar reductions within 1e-9.  Their
-``*_array`` functions and :meth:`AttentionPooling.infer_batch` are the
-bit-identical plain-NumPy serving twins.
+positions only, matching the scalar reductions within 1e-9.  They accept a
+``Tensor`` (training) or an ``ndarray`` (serving) and run the same NumPy ops
+on either, and a row's result does not depend on how far the batch pads it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.autograd import Tensor
+from repro.nn.autograd import Tensor, exp, tanh
 from repro.nn.layers import Linear
 from repro.nn.module import Module
 
@@ -45,7 +45,7 @@ def softmax_over_time(scores: Tensor) -> Tensor:
     return exponentials / exponentials.sum()
 
 
-def masked_mean_over_time(sequence: Tensor, mask: np.ndarray) -> Tensor:
+def masked_mean_over_time(sequence, mask: np.ndarray):
     """Per-row mean over the valid positions of a ``(B, T, N)`` sequence.
 
     ``mask`` is the ``(B, T)`` validity mask; every row must have at least one
@@ -53,42 +53,32 @@ def masked_mean_over_time(sequence: Tensor, mask: np.ndarray) -> Tensor:
     each row equals the scalar ``states.mean(axis=0)`` of its valid prefix.
     """
     counts = mask.sum(axis=1)
-    weighted = sequence * Tensor(mask[:, :, None])
-    return weighted.sum(axis=1) * Tensor((1.0 / counts)[:, None])
-
-
-def masked_mean_over_time_array(sequence: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Plain-NumPy twin of :func:`masked_mean_over_time`."""
-    counts = mask.sum(axis=1)
     weighted = sequence * mask[:, :, None]
     return weighted.sum(axis=1) * (1.0 / counts)[:, None]
 
 
-def masked_softmax_over_time(scores: Tensor, mask: np.ndarray) -> Tensor:
+def masked_softmax_over_time(scores, mask: np.ndarray):
     """Softmax over axis 1 of ``(B, T, 1)`` scores, restricted to valid positions.
 
-    Matches :func:`softmax_over_time` on each row's valid prefix: the per-row
-    peak is taken over valid positions only and padded positions get exactly
-    zero weight.
+    Matches :func:`softmax_over_time` on each row's valid prefix within 1e-9:
+    the per-row peak is taken over valid positions only and padded positions
+    get exactly zero weight.
     """
     column_mask = mask[:, :, None]
-    finite = np.where(column_mask > 0.0, scores.data, -np.inf)
-    peaks = finite.max(axis=1, keepdims=True)  # (B, 1, 1)
+    raw = scores.data if isinstance(scores, Tensor) else scores
+    peaks = np.where(column_mask > 0.0, raw, -np.inf).max(axis=1, keepdims=True)  # (B, 1, 1)
     # Zero the shifted scores at padded positions *before* exp: a filler-state
     # score far above the row's valid peak would otherwise overflow exp() to
     # inf, and inf * 0 would poison the row with NaN.
-    mask_tensor = Tensor(column_mask)
-    exponentials = ((scores - Tensor(peaks)) * mask_tensor).exp() * mask_tensor
-    return exponentials / exponentials.sum(axis=1, keepdims=True)
-
-
-def masked_softmax_over_time_array(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Plain-NumPy twin of :func:`masked_softmax_over_time`."""
-    column_mask = mask[:, :, None]
-    finite = np.where(column_mask > 0.0, scores, -np.inf)
-    peaks = finite.max(axis=1, keepdims=True)
-    exponentials = np.exp((scores + (-peaks)) * column_mask) * column_mask
-    return exponentials / exponentials.sum(axis=1, keepdims=True)
+    exponentials = exp((scores - peaks) * column_mask) * column_mask
+    # Sum over time left to right, one step at a time.  ``sum(axis=1)`` of a
+    # (B, T, 1) array reduces a contiguous run with pairwise summation, whose
+    # grouping changes with the padded length T, so a row would depend on the
+    # longest tweet it is batched with.  Trailing padding adds exact zeros here.
+    total = exponentials[:, 0:1]
+    for t in range(1, exponentials.shape[1]):
+        total = total + exponentials[:, t : t + 1]
+    return exponentials / total
 
 
 class AttentionPooling(Module):
@@ -126,20 +116,14 @@ class AttentionPooling(Module):
         weighted = sequence * weights  # broadcast over features
         return weighted.sum(axis=0)
 
-    def forward_batch(self, sequence: Tensor, mask: np.ndarray) -> Tensor:
+    def forward_batch(self, sequence, mask: np.ndarray):
         """Attention-pool a right-padded ``(B, T, N)`` batch into ``(B, N)``.
 
         ``mask`` is the ``(B, T)`` validity mask; padded positions receive
         zero attention so each row matches :meth:`forward` on its valid prefix.
         """
-        scores = self.score(self.projection(sequence).tanh())  # (B, T, 1)
+        scores = self.score(tanh(self.projection(sequence)))  # (B, T, 1)
         weights = masked_softmax_over_time(scores, mask)  # (B, T, 1)
-        return (sequence * weights).sum(axis=1)
-
-    def infer_batch(self, sequence: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Plain-NumPy twin of :meth:`forward_batch`."""
-        scores = self.score.infer(np.tanh(self.projection.infer(sequence)))
-        weights = masked_softmax_over_time_array(scores, mask)
         return (sequence * weights).sum(axis=1)
 
 

@@ -6,22 +6,21 @@ bidirectional LSTM (plus a convolution layer on top — ``BiLSTM-C``, see
 ``ConvLSTM`` variant whose input-to-state and state-to-state transitions are
 convolutions.
 
-Every layer offers three paths:
+Every layer offers two paths:
 
 * ``forward`` — the scalar reference path over one ``(T, M)`` sequence,
   kept as the documented ground truth for the equivalence tests.
-* ``forward_batch`` — the training hot path over a right-padded
-  ``(B, T, M)`` batch with a per-row length vector.  Each time step runs one
-  fused gate matmul of shape ``(B, 4N)`` instead of ``B`` separate ``(1, 4N)``
-  calls, and rows whose sequence has ended keep (forward direction) or have
-  not yet started (backward direction) a frozen state, so per-row outputs at
-  valid positions match the scalar path within 1e-9
-  (``tests/nn/test_recurrent_batch.py`` and
-  ``tests/features/test_content_batch.py`` pin the contract).
-* ``infer_batch`` — the serving path: the plain-NumPy twin of
-  ``forward_batch``.  It runs the same NumPy ops in the same order on
-  ``param.data`` read at call time, so its outputs are bit-identical to
-  ``forward_batch`` without building ``Tensor`` objects or an autograd graph
+* ``forward_batch`` — the batch path over a right-padded ``(B, T, M)`` batch
+  with a per-row length vector.  Each time step runs one fused gate matmul of
+  shape ``(B, 4N)`` instead of ``B`` separate ``(1, 4N)`` calls, and rows
+  whose sequence has ended keep (forward direction) or have not yet started
+  (backward direction) a frozen state, so per-row outputs at valid positions
+  match the scalar path within 1e-9 (``tests/nn/test_recurrent_batch.py`` and
+  ``tests/features/test_content_batch.py`` pin the contract).  It is written
+  once over the type-dispatching ops of :mod:`repro.nn.autograd`: training
+  passes a ``Tensor`` and gets the autograd graph, serving passes an
+  ``ndarray`` and runs the same NumPy ops in the same order with no
+  ``Tensor`` built per step, so the two are bit-identical by construction
   (``tests/nn/test_inference_twins.py`` pins exact equality).
 
 Positions at or beyond a row's length carry frozen/zero filler states; callers
@@ -30,9 +29,11 @@ must mask them out when pooling (see :mod:`repro.nn.pooling`).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from repro.nn.autograd import Tensor, concatenate, sigmoid_array, stack
+from repro.nn.autograd import Tensor, concatenate, lift, read, sigmoid, stack, tanh
 from repro.nn.module import Module, Parameter
 
 
@@ -46,24 +47,50 @@ def time_mask(lengths: np.ndarray, steps: int) -> np.ndarray:
     return (np.arange(steps)[None, :] < lengths[:, None]).astype(np.float64)
 
 
-def masked_state(new: Tensor, old: Tensor, column: np.ndarray) -> Tensor:
+def masked_state(new, old, column: np.ndarray):
     """Blend one recurrent-state update by a ``(B,)`` validity column.
 
     Rows with column 1.0 advance to ``new``; rows with 0.0 keep ``old`` — the
     state freeze that makes right-padded batches match the scalar recurrence
-    at every valid position.  An all-valid column skips the blend graph.
+    at every valid position.  ``new`` and ``old`` are both ``Tensor``s or both
+    arrays.  Callers skip the blend on all-valid steps (see :func:`run_masked`).
     """
-    if column.all():
-        return new
-    keep = Tensor(column[:, None])
-    return new * keep + old * Tensor(1.0 - column[:, None])
+    keep = column[:, None]
+    return new * keep + old * (1.0 - keep)
 
 
-def masked_state_array(new: np.ndarray, old: np.ndarray, column: np.ndarray) -> np.ndarray:
-    """Plain-NumPy twin of :func:`masked_state`."""
-    if column.all():
-        return new
-    return new * column[:, None] + old * (1.0 - column[:, None])
+def run_masked(step, sequence, lengths: np.ndarray, states: tuple, reverse: bool = False):
+    """Step a recurrence over a right-padded ``(B, T, M)`` batch, freezing finished rows.
+
+    ``step(x_t, *states)`` returns the next states, the first of which is the
+    output.  All-valid steps are found once per sequence and skip the
+    :func:`masked_state` blend.  Returns the ``(B, T, hidden)`` outputs.
+    """
+    steps = sequence.shape[1]
+    mask = time_mask(lengths, steps)
+    all_valid = mask.all(axis=0).tolist()
+    outputs = [None] * steps
+    for t in range(steps - 1, -1, -1) if reverse else range(steps):
+        advanced = step(sequence[:, t, :], *states)
+        if all_valid[t]:
+            states = advanced
+        else:
+            states = tuple(masked_state(new, old, mask[:, t]) for new, old in zip(advanced, states))
+        outputs[t] = states[0]
+    return stack(outputs, axis=1)
+
+
+def lstm_step(w_x, w_h, bias, x, h, c):
+    """One LSTM step on parameters already read as the kind of ``x`` (see :func:`read`)."""
+    gates = x @ w_x + h @ w_h + bias
+    n = bias.shape[-1] // 4
+    i_gate = sigmoid(gates[..., 0:n])
+    f_gate = sigmoid(gates[..., n : 2 * n])
+    g_gate = tanh(gates[..., 2 * n : 3 * n])
+    o_gate = sigmoid(gates[..., 3 * n : 4 * n])
+    c_next = f_gate * c + i_gate * g_gate
+    h_next = o_gate * tanh(c_next)
+    return h_next, c_next
 
 
 class LSTMCell(Module):
@@ -87,29 +114,13 @@ class LSTMCell(Module):
         self.weight_h = Parameter(rng.normal(0.0, std_h, size=(hidden_size, 4 * hidden_size)))
         self.bias = Parameter(np.zeros(4 * hidden_size))
 
-    def forward(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-        """One step: ``x`` is ``(input_size,)`` (or ``(1, input_size)``) shaped."""
-        gates = x @ self.weight_x + h @ self.weight_h + self.bias
-        n = self.hidden_size
-        i_gate = gates[..., 0:n].sigmoid()
-        f_gate = gates[..., n : 2 * n].sigmoid()
-        g_gate = gates[..., 2 * n : 3 * n].tanh()
-        o_gate = gates[..., 3 * n : 4 * n].sigmoid()
-        c_next = f_gate * c + i_gate * g_gate
-        h_next = o_gate * c_next.tanh()
-        return h_next, c_next
+    def params_like(self, x) -> tuple:
+        """``(weight_x, weight_h, bias)`` read as the kind of ``x``."""
+        return read(self.weight_x, x), read(self.weight_h, x), read(self.bias, x)
 
-    def infer(self, x: np.ndarray, h: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Plain-NumPy twin of :meth:`forward`."""
-        gates = x @ self.weight_x.data + h @ self.weight_h.data + self.bias.data
-        n = self.hidden_size
-        i_gate = sigmoid_array(gates[..., 0:n])
-        f_gate = sigmoid_array(gates[..., n : 2 * n])
-        g_gate = np.tanh(gates[..., 2 * n : 3 * n])
-        o_gate = sigmoid_array(gates[..., 3 * n : 4 * n])
-        c_next = f_gate * c + i_gate * g_gate
-        h_next = o_gate * np.tanh(c_next)
-        return h_next, c_next
+    def forward(self, x, h, c):
+        """One step: ``x`` is ``(input_size,)``, ``(1, input_size)`` or ``(B, input_size)``."""
+        return lstm_step(*self.params_like(x), x, h, c)
 
 
 class LSTM(Module):
@@ -142,55 +153,20 @@ class LSTM(Module):
             outputs[t] = h
         return concatenate(outputs, axis=0)
 
-    def forward_batch(self, sequence: Tensor, lengths: np.ndarray, reverse: bool = False) -> Tensor:
+    def forward_batch(self, sequence, lengths: np.ndarray, reverse: bool = False):
         """Run the recurrence over a right-padded ``(B, T, input_size)`` batch.
 
-        Returns the ``(B, T, hidden_size)`` hidden states.  Rows shorter than
-        ``T`` freeze their state once past ``lengths[b]`` (forward) or stay at
-        the zero initial state until entering the valid region (backward), so
-        outputs at valid positions match :meth:`forward` row by row; outputs
-        at padded positions are filler the caller must mask out.
+        Returns the ``(B, T, hidden_size)`` hidden states, of the same kind
+        as ``sequence``.  Rows shorter than ``T`` freeze their state once
+        past ``lengths[b]`` (forward) or stay at the zero initial state until
+        entering the valid region (backward), so outputs at valid positions
+        match :meth:`forward` row by row; outputs at padded positions are
+        filler the caller must mask out.
         """
-        batch, steps = sequence.shape[0], sequence.shape[1]
-        h = Tensor(np.zeros((batch, self.hidden_size)))
-        c = Tensor(np.zeros((batch, self.hidden_size)))
-        mask = time_mask(lengths, steps)
-        order = range(steps - 1, -1, -1) if reverse else range(steps)
-        outputs: list[Tensor] = [None] * steps  # type: ignore[list-item]
-        for t in order:
-            h_next, c_next = self.cell(sequence[:, t, :], h, c)
-            column = mask[:, t]
-            h = masked_state(h_next, h, column)
-            c = masked_state(c_next, c, column)
-            outputs[t] = h
-        return stack(outputs, axis=1)
-
-    def infer_batch(
-        self, sequence: np.ndarray, lengths: np.ndarray, reverse: bool = False
-    ) -> np.ndarray:
-        """Plain-NumPy twin of :meth:`forward_batch`.
-
-        States are written straight into the ``(B, T, hidden)`` output and
-        all-valid steps are found once up front (one ``mask.all`` per
-        sequence instead of two ``column.all()`` calls per step inside
-        :func:`masked_state_array`, which is measurably faster on the
-        all-valid short batches serving sees); neither changes a value.
-        """
-        batch, steps = sequence.shape[0], sequence.shape[1]
-        h = np.zeros((batch, self.hidden_size))
-        c = np.zeros((batch, self.hidden_size))
-        mask = time_mask(lengths, steps)
-        all_valid = mask.all(axis=0).tolist()
-        outputs = np.empty((batch, steps, self.hidden_size))
-        for t in range(steps - 1, -1, -1) if reverse else range(steps):
-            h_next, c_next = self.cell.infer(sequence[:, t, :], h, c)
-            if all_valid[t]:
-                h, c = h_next, c_next
-            else:
-                h = masked_state_array(h_next, h, mask[:, t])
-                c = masked_state_array(c_next, c, mask[:, t])
-            outputs[:, t] = h
-        return outputs
+        zero = lift(np.zeros((sequence.shape[0], self.hidden_size)), sequence)
+        # Parameters are read once per sequence, not once per step.
+        step = partial(lstm_step, *self.cell.params_like(sequence))
+        return run_masked(step, sequence, lengths, (zero, zero), reverse=reverse)
 
 
 class BiLSTM(Module):
@@ -235,9 +211,7 @@ class BiLSTM(Module):
             return stack([fwd, bwd], axis=2)
         return current
 
-    def forward_batch(
-        self, sequence: Tensor, lengths: np.ndarray, stacked_channels: bool = False
-    ) -> Tensor:
+    def forward_batch(self, sequence, lengths: np.ndarray, stacked_channels: bool = False):
         """Batched bidirectional pass over a right-padded ``(B, T, M)`` batch.
 
         Output shape is ``(B, T, 2 * hidden_size)`` (or ``(B, T, hidden_size,
@@ -252,21 +226,6 @@ class BiLSTM(Module):
         assert fwd is not None and bwd is not None
         if stacked_channels:
             return stack([fwd, bwd], axis=3)
-        return current
-
-    def infer_batch(
-        self, sequence: np.ndarray, lengths: np.ndarray, stacked_channels: bool = False
-    ) -> np.ndarray:
-        """Plain-NumPy twin of :meth:`forward_batch`."""
-        current = sequence
-        fwd = bwd = None
-        for fwd_layer, bwd_layer in zip(self.forward_layers, self.backward_layers):
-            fwd = fwd_layer.infer_batch(current, lengths)
-            bwd = bwd_layer.infer_batch(current, lengths, reverse=True)
-            current = np.concatenate([fwd, bwd], axis=2)
-        assert fwd is not None and bwd is not None
-        if stacked_channels:
-            return np.stack([fwd, bwd], axis=3)
         return current
 
 
@@ -311,28 +270,15 @@ class ConvLSTMCell(Module):
             out = out + tap
         return out
 
-    def _conv1d_batch(self, signal: Tensor, kernel_row: Tensor) -> Tensor:
+    def _conv1d_batch(self, signal, kernel_row):
         """Same-padded 1-D convolution of every row of a ``(B, width)`` signal.
 
         Tap order and per-element arithmetic mirror :meth:`_conv1d`, so each
         row equals the scalar convolution of that row exactly.
         """
         pad = self.kernel_size // 2
-        zeros = Tensor(np.zeros((signal.shape[0], pad)))
+        zeros = lift(np.zeros((signal.shape[0], pad)), signal)
         padded = concatenate([zeros, signal, zeros], axis=1)
-        taps = []
-        for k in range(self.kernel_size):
-            taps.append(padded[:, k : k + self.width] * kernel_row[k])
-        out = taps[0]
-        for tap in taps[1:]:
-            out = out + tap
-        return out
-
-    def _conv1d_infer(self, signal: np.ndarray, kernel_row: np.ndarray) -> np.ndarray:
-        """Plain-NumPy twin of :meth:`_conv1d_batch`."""
-        pad = self.kernel_size // 2
-        zeros = np.zeros((signal.shape[0], pad))
-        padded = np.concatenate([zeros, signal, zeros], axis=1)
         taps = [padded[:, k : k + self.width] * kernel_row[k] for k in range(self.kernel_size)]
         out = taps[0]
         for tap in taps[1:]:
@@ -349,29 +295,16 @@ class ConvLSTMCell(Module):
         h_next = o_gate * c_next.tanh()
         return h_next, c_next
 
-    def forward_batch(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
+    def forward_batch(self, x, h, c):
         """One step over a ``(B, width)`` input with ``(B, width)`` states."""
         conv = self._conv1d_batch
-        i_gate = (conv(x, self.weight_x[0]) + conv(h, self.weight_h[0]) + self.bias[0]).sigmoid()
-        f_gate = (conv(x, self.weight_x[1]) + conv(h, self.weight_h[1]) + self.bias[1]).sigmoid()
-        g_gate = (conv(x, self.weight_x[2]) + conv(h, self.weight_h[2]) + self.bias[2]).tanh()
-        o_gate = (conv(x, self.weight_x[3]) + conv(h, self.weight_h[3]) + self.bias[3]).sigmoid()
+        w_x, w_h, bias = read(self.weight_x, x), read(self.weight_h, x), read(self.bias, x)
+        i_gate = sigmoid(conv(x, w_x[0]) + conv(h, w_h[0]) + bias[0])
+        f_gate = sigmoid(conv(x, w_x[1]) + conv(h, w_h[1]) + bias[1])
+        g_gate = tanh(conv(x, w_x[2]) + conv(h, w_h[2]) + bias[2])
+        o_gate = sigmoid(conv(x, w_x[3]) + conv(h, w_h[3]) + bias[3])
         c_next = f_gate * c + i_gate * g_gate
-        h_next = o_gate * c_next.tanh()
-        return h_next, c_next
-
-    def infer_batch(
-        self, x: np.ndarray, h: np.ndarray, c: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Plain-NumPy twin of :meth:`forward_batch`."""
-        conv = self._conv1d_infer
-        w_x, w_h, bias = self.weight_x.data, self.weight_h.data, self.bias.data
-        i_gate = sigmoid_array(conv(x, w_x[0]) + conv(h, w_h[0]) + bias[0])
-        f_gate = sigmoid_array(conv(x, w_x[1]) + conv(h, w_h[1]) + bias[1])
-        g_gate = np.tanh(conv(x, w_x[2]) + conv(h, w_h[2]) + bias[2])
-        o_gate = sigmoid_array(conv(x, w_x[3]) + conv(h, w_h[3]) + bias[3])
-        c_next = f_gate * c + i_gate * g_gate
-        h_next = o_gate * np.tanh(c_next)
+        h_next = o_gate * tanh(c_next)
         return h_next, c_next
 
 
@@ -399,40 +332,13 @@ class ConvLSTM(Module):
             outputs.append(h.reshape(1, self.width))
         return concatenate(outputs, axis=0)
 
-    def forward_batch(self, sequence: Tensor, lengths: np.ndarray) -> Tensor:
+    def forward_batch(self, sequence, lengths: np.ndarray):
         """Run the ConvLSTM over a right-padded ``(B, T, width)`` batch.
 
-        Returns ``(B, T, width)`` states; rows freeze once past ``lengths[b]``
-        so valid positions match :meth:`forward` and padded positions are
-        filler the caller must mask out.
+        Returns ``(B, T, width)`` states of the same kind as ``sequence``;
+        rows freeze once past ``lengths[b]`` so valid positions match
+        :meth:`forward` and padded positions are filler the caller must mask
+        out.
         """
-        batch, steps = sequence.shape[0], sequence.shape[1]
-        h = Tensor(np.zeros((batch, self.width)))
-        c = Tensor(np.zeros((batch, self.width)))
-        mask = time_mask(lengths, steps)
-        outputs = []
-        for t in range(steps):
-            h_next, c_next = self.cell.forward_batch(sequence[:, t, :], h, c)
-            column = mask[:, t]
-            h = masked_state(h_next, h, column)
-            c = masked_state(c_next, c, column)
-            outputs.append(h)
-        return stack(outputs, axis=1)
-
-    def infer_batch(self, sequence: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Plain-NumPy twin of :meth:`forward_batch` (see :meth:`LSTM.infer_batch`)."""
-        batch, steps = sequence.shape[0], sequence.shape[1]
-        h = np.zeros((batch, self.width))
-        c = np.zeros((batch, self.width))
-        mask = time_mask(lengths, steps)
-        all_valid = mask.all(axis=0).tolist()
-        outputs = np.empty((batch, steps, self.width))
-        for t in range(steps):
-            h_next, c_next = self.cell.infer_batch(sequence[:, t, :], h, c)
-            if all_valid[t]:
-                h, c = h_next, c_next
-            else:
-                h = masked_state_array(h_next, h, mask[:, t])
-                c = masked_state_array(c_next, c, mask[:, t])
-            outputs[:, t] = h
-        return outputs
+        zero = lift(np.zeros((sequence.shape[0], self.width)), sequence)
+        return run_masked(self.cell.forward_batch, sequence, lengths, (zero, zero))

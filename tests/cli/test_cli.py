@@ -58,10 +58,10 @@ class TestParser:
 
     def test_train_flags(self):
         args = build_parser().parse_args(
-            ["train", "--dataset", "d", "--out", "m", "--no-unlabeled", "--mode", "one-phase"]
+            ["train", "--dataset", "d", "--out", "m", "--no-unlabeled", "--judge", "one-phase"]
         )
         assert args.use_unlabeled is False
-        assert args.mode == "one-phase"
+        assert args.judge == "one-phase"
 
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):

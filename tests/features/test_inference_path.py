@@ -1,8 +1,8 @@
-"""The serving path through the inference twins equals the ``Tensor`` path exactly.
+"""The serving path on plain arrays equals the ``Tensor`` path exactly.
 
 ``HisRectFeaturizer.featurize`` runs inside ``inference_mode``, where
-``ContentEncoder.encode_batch`` and the combiner's ``MLP.forward`` compute
-through plain-NumPy twins, and the judges score through
+``ContentEncoder.encode_batch`` and the combiner's ``MLP.forward`` hand plain
+arrays to the one batch definition of their layers, and the judges score through
 ``CoLocationJudgeNetwork.forward`` inside the same mode.  These tests pin that feature rows and
 probabilities are bit-identical (``np.array_equal``) to the autograd path for
 every registered featurizer variant and all five content encoders, that the
@@ -80,7 +80,7 @@ class TestEncoderInferencePath:
     def test_bilstm_c_twin_rejects_short_rows(self, vectorizer):
         encoder = make_content_encoder("bilstm-c", vectorizer, ContentEncoderConfig(feature_dim=4))
         with pytest.raises(ValueError, match="at least 3 tokens"):
-            encoder._infer_batch(np.zeros((1, 2, vectorizer.word_dim)), np.array([2]))
+            encoder._encode_batch(np.zeros((1, 2, vectorizer.word_dim)), np.array([2]))
 
 
 class TestFeaturizerInferencePath:
@@ -170,6 +170,46 @@ class TestFeaturizerInferencePath:
         assert seen == [("content", True, 3), ("combiner", True, 3)]
 
 
+class TestBatchIndependence:
+    """A row never depends on the profiles it is batched with (the partitioning contract)."""
+
+    @pytest.mark.parametrize("kind", sorted(CONTENT_ENCODERS))
+    @pytest.mark.parametrize("batch_size", [2, 5, 33])
+    def test_row_equals_the_row_padded_alone(self, small_registry, kind, batch_size):
+        vectorizer = build_vectorizer(max_tokens=16)
+        featurizer = featurizer_for(small_registry, vectorizer, content_encoder=kind)
+        counts = np.random.default_rng(batch_size).integers(0, 17, size=batch_size)
+        counts[0] = 16  # pad every other row to the longest tweet
+        profiles = profiles_with_token_counts(counts.tolist())
+        rows = featurizer.featurize(profiles)
+        for row, profile in zip(rows, profiles):
+            assert np.array_equal(row, featurizer.featurize([profile, profile])[0])
+
+
+class TestServingBuildsNoStepTensors:
+    @pytest.mark.parametrize("kind", ["bilstm-c", "bgru"])
+    def test_tensor_count_is_independent_of_batch_shape(self, small_registry, kind, monkeypatch):
+        """Serving wraps a few arrays in ``Tensor``s per call, never one per step or row."""
+        vectorizer = build_vectorizer(max_tokens=16)
+        featurizer = featurizer_for(small_registry, vectorizer, content_encoder=kind)
+        created = []
+        init = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            created.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        counts = []
+        for batch_size, tokens in ((2, 4), (8, 16)):
+            profiles = profiles_with_token_counts([tokens] * batch_size)
+            created.clear()
+            featurizer.featurize(profiles)
+            counts.append(len(created))
+        assert counts[0] == counts[1]
+        assert counts[0] <= 6
+
+
 class TestScoringInferencePath:
     def test_hisrect_judge_probabilities_are_exact(self, fitted_pipeline, tiny_dataset):
         judge = fitted_pipeline.judge
@@ -205,7 +245,8 @@ class TestScoringInferencePath:
 
         def spy(self, x):
             out = forward(self, x)
-            outputs.append(out.requires_grad)
+            # The hidden MLPs hand their Linear layers plain arrays in serving.
+            outputs.append(isinstance(out, Tensor) and out.requires_grad)
             return out
 
         monkeypatch.setattr(Linear, "forward", spy)

@@ -1,11 +1,13 @@
-"""Exact-equality tests for the plain-NumPy inference twins and ``inference_mode``.
+"""Exact-equality tests for the array path of each serving layer and ``inference_mode``.
 
-Every layer that serves carries an ``infer``/``infer_batch`` twin of its
-``forward``/``forward_batch`` that runs the same NumPy ops in the same order
-on ``param.data``.  The contract is bit-identity (``np.array_equal``), not a
-tolerance: serving through the twins must reproduce the ``Tensor`` path's
-rows and probabilities exactly.  ``inference_mode`` is thread-local, records
-no graph and refuses ``backward()``.
+Every layer that serves writes its ``forward``/``forward_batch`` once over
+type-dispatching ops, so it accepts a ``Tensor`` (training) or a plain
+``ndarray`` (serving) and runs the same NumPy ops in the same order on both.
+These tests call the same method with both kinds of input.  The contract is
+bit-identity (``np.array_equal``), not a tolerance: serving on arrays must
+reproduce the ``Tensor`` path's rows and probabilities exactly.
+``inference_mode`` is thread-local, records no graph and refuses
+``backward()``.
 """
 
 import threading
@@ -33,14 +35,10 @@ from repro.nn import (
     masked_softmax_over_time,
     time_mask,
 )
-from repro.nn.autograd import relu_array
+from repro.nn.autograd import relu
 from repro.nn.layers import l2_normalize
 from repro.nn.optim import Adam
-from repro.nn.pooling import (
-    AttentionPooling,
-    masked_mean_over_time_array,
-    masked_softmax_over_time_array,
-)
+from repro.nn.pooling import AttentionPooling
 
 #: Ragged, singleton and all-valid length vectors (max length first or not).
 LENGTHS = [[6, 3, 1, 6, 4], [5], [4, 4, 4], [1, 7], [2, 2]]
@@ -156,7 +154,7 @@ class TestRecurrentTwins:
         lstm = LSTM(5, 4, rng=np.random.default_rng(0))
         batch, lens = padded_batch(lengths, 5, seed=1)
         reference = lstm.forward_batch(Tensor(batch), lens, reverse=reverse).data
-        assert_same(lstm.infer_batch(batch, lens, reverse=reverse), reference)
+        assert_same(lstm.forward_batch(batch, lens, reverse=reverse), reference)
 
     @pytest.mark.parametrize("num_layers", [1, 2, 3])
     @pytest.mark.parametrize("stacked", [False, True])
@@ -164,41 +162,41 @@ class TestRecurrentTwins:
         bilstm = BiLSTM(5, 3, num_layers=num_layers, rng=np.random.default_rng(2))
         batch, lens = padded_batch(lengths, 5, seed=3)
         reference = bilstm.forward_batch(Tensor(batch), lens, stacked_channels=stacked).data
-        assert_same(bilstm.infer_batch(batch, lens, stacked_channels=stacked), reference)
+        assert_same(bilstm.forward_batch(batch, lens, stacked_channels=stacked), reference)
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_gru(self, lengths, reverse):
         gru = GRU(5, 4, rng=np.random.default_rng(4))
         batch, lens = padded_batch(lengths, 5, seed=5)
         reference = gru.forward_batch(Tensor(batch), lens, reverse=reverse).data
-        assert_same(gru.infer_batch(batch, lens, reverse=reverse), reference)
+        assert_same(gru.forward_batch(batch, lens, reverse=reverse), reference)
 
     def test_bigru(self, lengths):
         bigru = BiGRU(5, 3, rng=np.random.default_rng(6))
         batch, lens = padded_batch(lengths, 5, seed=7)
-        assert_same(bigru.infer_batch(batch, lens), bigru.forward_batch(Tensor(batch), lens).data)
+        assert_same(bigru.forward_batch(batch, lens), bigru.forward_batch(Tensor(batch), lens).data)
 
     def test_convlstm(self, lengths):
         convlstm = ConvLSTM(6, kernel_size=3, rng=np.random.default_rng(8))
         batch, lens = padded_batch(lengths, 6, seed=9)
         reference = convlstm.forward_batch(Tensor(batch), lens).data
-        assert_same(convlstm.infer_batch(batch, lens), reference)
+        assert_same(convlstm.forward_batch(batch, lens), reference)
 
     def test_masked_pooling(self, lengths):
         states, lens = padded_batch(lengths, 4, seed=10)
         mask = time_mask(lens, states.shape[1])
         reference = masked_mean_over_time(Tensor(states), mask).data
-        assert_same(masked_mean_over_time_array(states, mask), reference)
+        assert_same(masked_mean_over_time(states, mask), reference)
         scores = np.random.default_rng(11).normal(size=states.shape[:2] + (1,)) * 50.0
         reference = masked_softmax_over_time(Tensor(scores), mask).data
-        assert_same(masked_softmax_over_time_array(scores, mask), reference)
+        assert_same(masked_softmax_over_time(scores, mask), reference)
 
     def test_attention_pooling(self, lengths):
         pooling = AttentionPooling(4, rng=np.random.default_rng(12))
         states, lens = padded_batch(lengths, 4, seed=13)
         mask = time_mask(lens, states.shape[1])
         reference = pooling.forward_batch(Tensor(states), mask).data
-        assert_same(pooling.infer_batch(states, mask), reference)
+        assert_same(pooling.forward_batch(states, mask), reference)
 
 
 class TestConvolutionTwins:
@@ -206,21 +204,21 @@ class TestConvolutionTwins:
     def test_conv2d(self, batch_size):
         conv = Conv2D(2, 3, kernel_height=3, kernel_width=2, rng=np.random.default_rng(0))
         images = np.random.default_rng(1).normal(size=(batch_size, 6, 4, 2))
-        assert_same(conv.infer_batch(images), conv.forward_batch(Tensor(images)).data)
+        assert_same(conv.forward_batch(images), conv.forward_batch(Tensor(images)).data)
 
     @pytest.mark.parametrize("batch_size", [1, 2, 5])
     def test_temporal_conv_with_relu(self, batch_size):
         conv = TemporalConv(width=4, kernel_height=3, rng=np.random.default_rng(2))
         stacked = np.random.default_rng(3).normal(size=(batch_size, 7, 4, 2))
         reference = conv.forward_batch(Tensor(stacked)).relu().data
-        assert_same(relu_array(conv.infer_batch(stacked)), reference)
+        assert_same(relu(conv.forward_batch(stacked)), reference)
 
     def test_shape_checks_match(self):
         conv = TemporalConv(width=4, kernel_height=3, rng=np.random.default_rng(2))
         with pytest.raises(ValueError):
-            conv.infer_batch(np.zeros((1, 7, 5, 2)))
+            conv.forward_batch(np.zeros((1, 7, 5, 2)))
         with pytest.raises(ValueError, match="smaller than the kernel"):
-            conv.infer_batch(np.zeros((1, 2, 4, 2)))
+            conv.forward_batch(np.zeros((1, 2, 4, 2)))
 
 
 class TestFeedForwardTwins:
@@ -231,8 +229,8 @@ class TestFeedForwardTwins:
         mlp.eval()
         reference = mlp(Tensor(x)).data
         mlp.train()
-        assert_same(mlp.infer(x), reference)
         with inference_mode():
+            assert_same(mlp(x), reference)
             served = mlp(Tensor(x))
         assert_same(served.data, reference)
         assert mlp.training  # the mode never flips the shared flag
@@ -264,8 +262,9 @@ class TestFeedForwardTwins:
     def test_twins_read_parameters_at_call_time(self):
         layer = Linear(3, 2, rng=np.random.default_rng(0))
         x = np.ones((2, 3))
-        before = layer.infer(x)
+        before = layer(x)
         layer.load_state_dict({name: value + 1.0 for name, value in layer.state_dict().items()})
-        after = layer.infer(x)
+        after = layer(x)
+        assert isinstance(after, np.ndarray)
         assert not np.array_equal(before, after)
         assert_same(after, layer(Tensor(x)).data)

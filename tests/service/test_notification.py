@@ -25,7 +25,7 @@ def poi_tweet(registry, uid, ts, poi_index=0):
 @pytest.fixture
 def service(small_registry):
     return FriendsNotificationService(
-        judge=SamePOIJudge(),
+        SamePOIJudge(),
         registry=small_registry,
         friendships=[(1, 2), (1, 3)],
         delta_t=3600.0,
@@ -57,7 +57,7 @@ class TestFriendsNotificationService:
 
     def test_threshold_is_respected(self, small_registry):
         strict = FriendsNotificationService(
-            judge=SamePOIJudge(),
+            SamePOIJudge(),
             registry=small_registry,
             friendships=[(1, 2)],
             threshold=0.95,

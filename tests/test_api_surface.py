@@ -94,31 +94,6 @@ class TestExportedNames:
 
 
 class TestDeprecationShims:
-    def test_colocation_modes_warns(self):
-        import repro.colocation
-
-        with pytest.warns(DeprecationWarning, match="MODES is deprecated"):
-            modes = repro.colocation.MODES
-        assert set(modes) == {"two-phase", "one-phase"}
-
-    def test_pipeline_module_modes_warns(self):
-        import repro.colocation.pipeline as pipeline_module
-
-        with pytest.warns(DeprecationWarning, match="MODES is deprecated"):
-            modes = pipeline_module.MODES
-        assert set(modes) == {"two-phase", "one-phase"}
-
-    def test_service_judge_keyword_warns_and_works(self):
-        from repro.service import CommunityDetector
-
-        class Stub:
-            def predict_proba(self, pairs):
-                return np.full(len(pairs), 0.7)
-
-        with pytest.warns(DeprecationWarning, match="judge= keyword is deprecated"):
-            detector = CommunityDetector(judge=Stub())
-        assert detector.judge.__class__ is Stub
-
     def test_raw_judge_positional_does_not_warn(self):
         from repro.service import LocalPeopleRecommender
 
@@ -131,22 +106,9 @@ class TestDeprecationShims:
             recommender = LocalPeopleRecommender(Stub())
         assert recommender.engine.judge.__class__ is Stub
 
-    def test_cli_mode_flag_warns(self):
-        import argparse
-
-        from repro.cli.main import _selected_judge
-
-        args = argparse.Namespace(mode="one-phase", judge=None)
-        with pytest.warns(DeprecationWarning, match="--mode is deprecated"):
-            assert _selected_judge(args) == "one-phase"
-        args = argparse.Namespace(mode="two-phase", judge=None)
-        with pytest.warns(DeprecationWarning):
-            assert _selected_judge(args) == "hisrect"
-
     def test_cli_judge_defaults_to_hisrect(self):
-        import argparse
+        from repro.cli.main import build_parser
 
-        from repro.cli.main import _selected_judge
-
-        assert _selected_judge(argparse.Namespace(mode=None, judge=None)) == "hisrect"
-        assert _selected_judge(argparse.Namespace(mode=None, judge="tg-ti-c")) == "tg-ti-c"
+        assert build_parser().parse_args(["train", "--dataset", "d"]).judge == "hisrect"
+        args = build_parser().parse_args(["train", "--dataset", "d", "--judge", "tg-ti-c"])
+        assert args.judge == "tg-ti-c"
