@@ -26,9 +26,9 @@ diverge.  The engine contributes the feature cache (its
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import threading
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -39,75 +39,7 @@ from repro.core.protocols import ProfileKey, featurizer_dim, profile_key
 from repro.data.records import Pair, Profile
 from repro.errors import ConfigurationError
 from repro.obs import STAGE_FEATURIZE, get_tracer
-from repro.store import ArenaStore, FeatureStore, HotStore, TieredStore
-
-
-@dataclass(frozen=True)
-class EngineCacheInfo:
-    """Snapshot of the engine's feature-cache statistics."""
-
-    hits: int
-    misses: int
-    evictions: int
-    size: int
-    maxsize: int
-    #: Total profile rows pushed through the featurizer so far.
-    featurized: int
-    #: Rows dropped by explicit ``invalidate``/``invalidate_stale`` calls.
-    invalidated: int = 0
-    #: Per-tier traffic (``hits`` = ``hot_hits`` + ``cold_hits``): lookups
-    #: answered from RAM vs. the memmap arena, cold rows copied back into
-    #: RAM, and hot-tier evictions that stayed reachable in the arena.
-    hot_hits: int = 0
-    cold_hits: int = 0
-    promotions: int = 0
-    demotions: int = 0
-    #: Live rows in the cold arena tier (0 without one).
-    cold_size: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of feature lookups served from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    @classmethod
-    def merge(cls, infos: Iterable["EngineCacheInfo"]) -> "EngineCacheInfo":
-        """Aggregate shard-level snapshots into one cluster-level snapshot.
-
-        Counters, sizes and capacities sum; ``hit_rate`` derives from the
-        summed counters.  An empty iterable merges to the all-zero snapshot
-        (whose ``hit_rate`` is 0.0, matching a cache that saw no lookups).
-        """
-        hits = misses = evictions = size = maxsize = featurized = invalidated = 0
-        hot_hits = cold_hits = promotions = demotions = cold_size = 0
-        for info in infos:
-            hits += info.hits
-            misses += info.misses
-            evictions += info.evictions
-            size += info.size
-            maxsize += info.maxsize
-            featurized += info.featurized
-            invalidated += info.invalidated
-            hot_hits += info.hot_hits
-            cold_hits += info.cold_hits
-            promotions += info.promotions
-            demotions += info.demotions
-            cold_size += info.cold_size
-        return cls(
-            hits=hits,
-            misses=misses,
-            evictions=evictions,
-            size=size,
-            maxsize=maxsize,
-            featurized=featurized,
-            invalidated=invalidated,
-            hot_hits=hot_hits,
-            cold_hits=cold_hits,
-            promotions=promotions,
-            demotions=demotions,
-            cold_size=cold_size,
-        )
+from repro.store import ArenaStore, EngineCacheInfo, FeatureStore, HotStore, TieredStore
 
 
 class ColocationEngine:
@@ -181,14 +113,12 @@ class ColocationEngine:
             scorer=self._score_batched,
             explicit_threshold=threshold,
         )
-        #: Guards the engine's own counters.  Row storage is the store's
-        #: problem (stores carry their own lock); featurization runs outside
-        #: any lock so concurrent callers only serialise on bookkeeping.
+        #: Guards the engine's own counters.  Lookup, eviction and
+        #: invalidation counts are the store's (it counts under its own
+        #: lock); the engine counts only what no store sees — featurization,
+        #: which runs outside any lock.
         self._lock = threading.Lock()
-        self._hits = 0  # guarded-by: _lock
-        self._misses = 0  # guarded-by: _lock
         self._featurized = 0  # guarded-by: _lock
-        self._invalidations = 0  # guarded-by: _lock
         #: Invalidated-row count not yet reported by a gather call: drained
         #: into the next call's :class:`CallCacheStats`, so typed responses
         #: surface the invalidation traffic that preceded them (the batcher
@@ -243,7 +173,7 @@ class ColocationEngine:
         resulting concurrency; judges with unsynchronised internal caches
         (the HisRect featurizer) should be driven by one thread at a time,
         which is how :class:`repro.cluster.ShardedEngine` schedules them
-        (one gather lock per judge replica).
+        (each shard's gathers run on that shard's single-thread executor).
         """
         rows, _ = self._resolve_features(profiles)
         return rows
@@ -269,9 +199,6 @@ class ColocationEngine:
                 resolved[key] = row
             else:
                 missing[key] = position
-        with self._lock:
-            self._hits += call_hits
-            self._misses += len(missing)
         if missing:
             batch = [profiles[position] for position in missing.values()]
             with get_tracer().stage(STAGE_FEATURIZE):
@@ -309,7 +236,6 @@ class ColocationEngine:
         """
         dropped = self.store.invalidate(uids)
         with self._lock:
-            self._invalidations += dropped
             self._pending_invalidated += dropped
         return dropped
 
@@ -322,7 +248,6 @@ class ColocationEngine:
         """
         dropped = self.store.invalidate_stale()
         with self._lock:
-            self._invalidations += dropped
             self._pending_invalidated += dropped
         return dropped
 
@@ -338,23 +263,10 @@ class ColocationEngine:
         return stats.featurized
 
     def cache_info(self) -> EngineCacheInfo:
-        """Current feature-store statistics (a consistent snapshot)."""
-        stats = self.store.stats()
+        """The store's statistics plus the rows this engine featurized."""
         with self._lock:
-            return EngineCacheInfo(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=stats.evictions,
-                size=stats.size,
-                maxsize=stats.maxsize,
-                featurized=self._featurized,
-                invalidated=self._invalidations,
-                hot_hits=stats.hot_hits,
-                cold_hits=stats.cold_hits,
-                promotions=stats.promotions,
-                demotions=stats.demotions,
-                cold_size=stats.cold_size,
-            )
+            featurized = self._featurized
+        return dataclasses.replace(self.store.stats(), featurized=featurized)
 
     def clear_cache(self) -> None:
         """Drop every cached feature row, all tiers (keeps the counters)."""

@@ -45,7 +45,6 @@ waiting forever on a flush that will never come.
 
 from __future__ import annotations
 
-import inspect
 import threading
 import time
 from collections import deque
@@ -140,7 +139,6 @@ class MicroBatcher:
         #: raises instead of waiting on a dead thread.
         self._death: BaseException | None = None  # guarded-by: _cond
         self._metrics_errors = 0  # guarded-by: _cond
-        self._metrics_takes_serves: bool | None = None
         self._flusher = threading.Thread(
             target=self._run, name="repro-microbatcher", daemon=True
         )
@@ -172,24 +170,6 @@ class MicroBatcher:
         except Exception:
             with self._cond:  # reentrant: safe from the reject path too
                 self._metrics_errors += 1
-
-    def _flush_accepts_num_serves(self) -> bool:
-        """Whether the metrics object's ``observe_flush`` takes ``num_serves``.
-
-        User-supplied metrics written against the pre-serve signature keep
-        receiving the call they understand instead of a swallowed TypeError
-        that would silently drop all their flush telemetry.
-        """
-        if self._metrics_takes_serves is None:
-            try:
-                parameters = inspect.signature(self.metrics.observe_flush).parameters
-                self._metrics_takes_serves = "num_serves" in parameters or any(
-                    parameter.kind is inspect.Parameter.VAR_KEYWORD
-                    for parameter in parameters.values()
-                )
-            except Exception:  # unsignaturable/odd callables: just try it
-                self._metrics_takes_serves = True
-        return self._metrics_takes_serves
 
     def _raise_if_unavailable(self) -> None:  # holds: _cond
         """Caller must hold ``_cond``."""
@@ -453,7 +433,6 @@ class MicroBatcher:
                     dropped = self.engine.invalidate_stale()
                 else:
                     dropped = self.engine.invalidate(target)
-                self._observe("observe_invalidation", dropped)
                 pending.future.set_result(int(dropped))
 
             score_requests = [p for p in batch if p.kind == "score"]
@@ -523,15 +502,14 @@ class MicroBatcher:
                 raise  # fatal (KeyboardInterrupt, ...): let _run declare death
         finally:
             finished = self._time()
-            flush_kwargs = dict(
+            self._observe(
+                "observe_flush",
                 num_requests=len(batch),
                 num_pairs=sum(p.weight for p in batch if p.kind in ("score", "serve")),
                 queue_depth=depth,
                 elapsed_ms=(finished - started) * 1e3,
+                num_serves=sum(1 for p in batch if p.kind == "serve"),
             )
-            if self._flush_accepts_num_serves():
-                flush_kwargs["num_serves"] = sum(1 for p in batch if p.kind == "serve")
-            self._observe("observe_flush", **flush_kwargs)
             for pending in batch:
                 self._observe("observe_latency", (finished - pending.enqueued) * 1e3)
 

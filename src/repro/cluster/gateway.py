@@ -74,7 +74,7 @@ from repro.obs import (
 _HELLO_TIMEOUT = 30.0
 
 #: What a dead or stalled worker reports: an empty cache, not a failure.
-_NO_CACHE = EngineCacheInfo(hits=0, misses=0, evictions=0, size=0, maxsize=0, featurized=0)
+_NO_CACHE = EngineCacheInfo()
 
 
 @dataclass
@@ -355,6 +355,13 @@ class WorkerPool(PartitionedEngine):
     #: partitioned engine's owner routing and per-shard cache statistics.
     worker_of = PartitionedEngine.shard_of
     worker_cache_infos = PartitionedEngine.shard_cache_infos
+
+    def _observe(self, hook: str, *args) -> None:
+        """Incident metrics must never break serving (as ``MicroBatcher._observe``)."""
+        try:
+            getattr(self.metrics, hook)(*args)
+        except Exception:
+            pass
 
     # ------------------------------------------------------------ loop plumbing
     def _run(self, coroutine, timeout: float | None = None):

@@ -3,8 +3,12 @@
 Aggregates four kinds of signal:
 
 * **cache** — per-shard :class:`repro.api.EngineCacheInfo` snapshots and
-  their cluster-level merge (:meth:`EngineCacheInfo.merge`), pulled live from
-  the attached engine and published as registry gauges;
+  their cluster-level merge (:meth:`EngineCacheInfo.merge`), read live from
+  the attached engine and published as one ``repro_cache_stat`` gauge family
+  (one ``stat`` label per field).  The stores count these numbers; this
+  object only reads them, so no cache count (invalidated rows included) is
+  kept twice.  They stay out of the registry's own counters because they are
+  per shard and registry gauges merge last-write-wins;
 * **throughput** — requests/pairs served, flush count and mean flush size
   (how well the micro-batcher is coalescing), rejections (how often
   backpressure fired);
@@ -18,21 +22,22 @@ Aggregates four kinds of signal:
 * **liveness** — per-worker health + last-seen timestamps fed by the
   :class:`repro.cluster.WorkerPool` PING/PONG heartbeat.
 
-Every counter lives in a :class:`repro.obs.MetricsRegistry`, so the same
-numbers are available as a Prometheus-style exposition via :meth:`to_text`.
-All observation methods are thread-safe; :meth:`snapshot` returns one frozen,
-printable :class:`ClusterMetricsSnapshot`.
+Throughput, latency and liveness live in a :class:`repro.obs.MetricsRegistry`;
+:meth:`to_text` refreshes the cache gauges from the engine and renders all
+four kinds as one Prometheus-style exposition.  All observation methods are
+thread-safe; :meth:`snapshot` returns one frozen, printable
+:class:`ClusterMetricsSnapshot`.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
-from repro.api.engine import EngineCacheInfo
 from repro.obs import MetricsRegistry
+from repro.store.base import EngineCacheInfo
 
 
 @dataclass(frozen=True)
@@ -65,9 +70,6 @@ class ClusterMetricsSnapshot:
     #: and respawns the gateway performed.  Always 0 for in-process tiers.
     worker_deaths: int = 0
     worker_respawns: int = 0
-    #: Cache rows dropped by explicit invalidation calls routed through the
-    #: batcher (profile mutations superseding cached feature rows).
-    invalidated_rows: int = 0
     #: Heartbeat view, ``(worker index, healthy)`` — empty when no pool
     #: heartbeat feeds this metrics object.
     worker_health: tuple[tuple[int, bool], ...] = ()
@@ -91,12 +93,11 @@ class ClusterMetricsSnapshot:
         if self.worker_health:
             up = sum(1 for _, healthy in self.worker_health if healthy)
             lines.append(f"heartbeat: up={up}/{len(self.worker_health)}")
-        if self.invalidated_rows:
-            lines.append(f"invalidated_rows={self.invalidated_rows}")
         if self.cache is not None:
             lines.append(
                 f"cache: size={self.cache.size}/{self.cache.maxsize} "
-                f"hit_rate={self.cache.hit_rate:.3f} featurized={self.cache.featurized}"
+                f"hit_rate={self.cache.hit_rate:.3f} featurized={self.cache.featurized} "
+                f"invalidated={self.cache.invalidated}"
             )
             tiered = (
                 self.cache.cold_hits
@@ -121,9 +122,11 @@ class ClusterMetricsSnapshot:
 class ClusterMetrics:
     """Thread-safe counters for a serving cluster, built on ``repro.obs``.
 
-    Every number lives in a :class:`repro.obs.MetricsRegistry` metric, so the
-    same state that feeds :meth:`snapshot` also renders as a Prometheus-style
-    exposition (:meth:`to_text`) and merges with worker-process snapshots.
+    Every counter it keeps lives in a :class:`repro.obs.MetricsRegistry`
+    metric, so the same state that feeds :meth:`snapshot` also renders as a
+    Prometheus-style exposition (:meth:`to_text`) and merges with
+    worker-process snapshots.  Cache statistics are not kept here: each
+    snapshot reads them from the engine and republishes them as gauges.
 
     Parameters
     ----------
@@ -180,10 +183,6 @@ class ClusterMetrics:
         self._worker_respawns = r.counter(
             "repro_cluster_worker_respawns_total", "Workers respawned by the gateway"
         )
-        self._invalidated_rows = r.counter(
-            "repro_cluster_invalidated_rows_total",
-            "Cache rows dropped by explicit invalidation",
-        )
         self._worker_up = r.gauge(
             "repro_worker_up", "Heartbeat liveness per worker (1 up, 0 down)",
             labels=("worker",),
@@ -211,7 +210,7 @@ class ClusterMetrics:
         """Record one completed micro-batch flush.
 
         ``num_serves`` counts the typed ``serve`` requests among
-        ``num_requests`` (0 for flushes predating the serve kind).
+        ``num_requests``.
         """
         self._flushes.inc()
         self._requests.inc(num_requests)
@@ -235,10 +234,6 @@ class ClusterMetrics:
     def observe_worker_respawn(self) -> None:
         """Record one worker the gateway respawned after a death."""
         self._worker_respawns.inc()
-
-    def observe_invalidation(self, rows: int) -> None:
-        """Record cache rows dropped by one invalidation call."""
-        self._invalidated_rows.inc(int(rows))
 
     def observe_heartbeat(self, worker: int, healthy: bool, rtt_ms: float | None = None) -> None:
         """Record one heartbeat probe result for a worker.
@@ -292,7 +287,6 @@ class ClusterMetrics:
             shard_caches=shard_caches,
             worker_deaths=int(self._worker_deaths.value),
             worker_respawns=int(self._worker_respawns.value),
-            invalidated_rows=int(self._invalidated_rows.value),
             worker_health=tuple(
                 (index, healthy) for index, (healthy, _) in heartbeats
             ),
@@ -302,23 +296,14 @@ class ClusterMetrics:
         )
 
     def _publish_cache(self, cache: EngineCacheInfo) -> None:
-        """Mirror the engine's cache statistics into registry gauges."""
-        r = self.registry
-        for name, value in (
-            ("repro_cache_size", cache.size),
-            ("repro_cache_maxsize", cache.maxsize),
-            ("repro_cache_hits", cache.hits),
-            ("repro_cache_misses", cache.misses),
-            ("repro_cache_featurized", cache.featurized),
-            ("repro_cache_hot_hits", cache.hot_hits),
-            ("repro_cache_cold_hits", cache.cold_hits),
-            ("repro_cache_cold_size", cache.cold_size),
-            ("repro_cache_promotions", cache.promotions),
-            ("repro_cache_demotions", cache.demotions),
-        ):
-            r.gauge(name, "Engine feature-cache statistic (from cache_info)").set(
-                float(value)
-            )
+        """Expose every field of the cache snapshot as one labelled gauge."""
+        family = self.registry.gauge(
+            "repro_cache_stat",
+            "Engine feature-cache statistic (from cache_info)",
+            labels=("stat",),
+        )
+        for name, value in asdict(cache).items():
+            family.labels(stat=name).set(float(value))
 
     def to_text(self) -> str:
         """Prometheus-style exposition of this object's registry (refreshes

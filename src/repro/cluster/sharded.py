@@ -132,8 +132,6 @@ class PartitionedEngine:
 
     #: Bound on waiting for one shard's answer (``None`` waits).
     call_timeout: float | None = None
-    #: Optional :class:`repro.cluster.ClusterMetrics` for incident counters.
-    metrics = None
 
     def __init__(
         self,
@@ -176,15 +174,6 @@ class PartitionedEngine:
     def shard_of(self, profile: Profile) -> int:
         """The index of the shard owning this profile's user."""
         return shard_index(profile_key(profile), len(self._shards))
-
-    def _observe(self, hook: str, *args) -> None:
-        """Metrics must never break serving (mirrors MicroBatcher._observe)."""
-        if self.metrics is None:
-            return
-        try:
-            getattr(self.metrics, hook)(*args)
-        except Exception:
-            pass
 
     def close(self) -> None:
         """Close every shard (idempotent); later calls raise ``ConfigurationError``."""
@@ -340,21 +329,15 @@ class PartitionedEngine:
         groups: dict[int, list[int]] = {}
         for uid in sorted(uid_set):
             groups.setdefault(shard_index(uid, len(self._shards)), []).append(uid)
-        dropped = sum(
+        return sum(
             self._shards[owner].invalidate(group) for owner, group in sorted(groups.items())
         )
-        if dropped:
-            self._observe("observe_invalidation", dropped)
-        return dropped
 
     def invalidate_stale(self) -> int:
         """Drop superseded-revision rows on every shard; returns rows dropped."""
         if self._closed:
             return 0
-        dropped = sum(shard.invalidate_stale() for shard in self._shards)
-        if dropped:
-            self._observe("observe_invalidation", dropped)
-        return dropped
+        return sum(shard.invalidate_stale() for shard in self._shards)
 
     def snapshot(self) -> tuple[dict[ProfileKey, np.ndarray], ...]:
         """Per-shard store exports, index-aligned with the shards."""

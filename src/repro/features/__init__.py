@@ -10,7 +10,6 @@ from repro.features.content import (
     ContentEncoderConfig,
     ConvLSTMContentEncoder,
     TextVectorizer,
-    VectorizerCacheInfo,
     make_content_encoder,
 )
 from repro.features.hisrect import (
@@ -36,7 +35,6 @@ __all__ = [
     "ContentEncoder",
     "ContentEncoderConfig",
     "TextVectorizer",
-    "VectorizerCacheInfo",
     "BiLSTMCContentEncoder",
     "BLSTMContentEncoder",
     "ConvLSTMContentEncoder",

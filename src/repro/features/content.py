@@ -63,6 +63,7 @@ from repro.nn.layers import Linear
 from repro.nn.module import Module
 from repro.nn.pooling import AttentionPooling, masked_mean_over_time
 from repro.nn.recurrent import BiLSTM, ConvLSTM, time_mask
+from repro.store.base import EngineCacheInfo
 from repro.text.skipgram import SkipGramModel
 from repro.text.tokenize import STOPWORD_TOKEN, Tokenizer, Vocabulary
 
@@ -82,23 +83,6 @@ class ContentEncoderConfig:
     #: Gaussian init std; ``None`` uses fan-in (He) scaling.
     init_std: float | None = None
     seed: int = 31
-
-
-@dataclass(frozen=True)
-class VectorizerCacheInfo:
-    """Snapshot of the :class:`TextVectorizer` word-vector cache statistics."""
-
-    hits: int
-    misses: int
-    evictions: int
-    size: int
-    maxsize: int
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of vectorize lookups served from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class TextVectorizer:
@@ -145,14 +129,15 @@ class TextVectorizer:
         return self.skipgram.embedding_dim
 
     @property
-    def cache_stats(self) -> VectorizerCacheInfo:
-        """Current word-vector cache statistics."""
-        return VectorizerCacheInfo(
+    def cache_stats(self) -> EngineCacheInfo:
+        """Current word-vector cache statistics (one in-RAM tier, so every hit is hot)."""
+        return EngineCacheInfo(
             hits=self._hits,
             misses=self._misses,
             evictions=self._evictions,
             size=len(self._cache),
             maxsize=self.cache_size,
+            hot_hits=self._hits,
         )
 
     def token_ids(self, text: str) -> list[int]:

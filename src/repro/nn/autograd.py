@@ -103,6 +103,12 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "name")
 
+    #: Opt out of NumPy's ufunc dispatch: with an ndarray on the left
+    #: (``np.ones(2) * t``) NumPy then returns ``NotImplemented`` and Python
+    #: calls the reflected ``Tensor`` operator, instead of NumPy building an
+    #: object array of per-element Tensors cut off from the graph.
+    __array_ufunc__ = None
+
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         self.data: Array = _as_array(data)
         self.grad: Array | None = None

@@ -40,14 +40,14 @@ without the rows ever crossing the wire.
 """
 
 from repro.store.arena import ArenaStore
-from repro.store.base import FeatureStore, StoreStats
+from repro.store.base import EngineCacheInfo, FeatureStore
 from repro.store.hot import HotStore
 from repro.store.tiered import TieredStore
 
 __all__ = [
     "ArenaStore",
+    "EngineCacheInfo",
     "FeatureStore",
     "HotStore",
-    "StoreStats",
     "TieredStore",
 ]

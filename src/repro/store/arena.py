@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.core.protocols import ProfileKey, RevisionedKeyIndex
 from repro.errors import ConfigurationError
-from repro.store.base import StoreStats
+from repro.store.base import EngineCacheInfo
 
 _MAGIC = "repro-feature-arena"
 _VERSION = 1
@@ -200,7 +200,7 @@ class ArenaStore:
                 self._index.discard(key)
             elif op == "clear":
                 self._slots.clear()
-                self._index = RevisionedKeyIndex()
+                self._index.clear()
         allocated = set(self._slots.values())
         self._high_water = max(allocated) + 1 if allocated else 0
         self._free = [slot for slot in range(self._high_water) if slot not in allocated]
@@ -321,7 +321,9 @@ class ArenaStore:
         self._require_writable()
         with self._lock:
             self._slots.clear()
-            self._index = RevisionedKeyIndex()
+            # Revision watermarks survive, as in the hot tier: a tiered
+            # store's stale sweep must judge both tiers by the same mark.
+            self._index.clear()
             self._free = list(range(self._high_water))
             self._append({"op": "clear"})
 
@@ -377,9 +379,9 @@ class ArenaStore:
         return False
 
     # --------------------------------------------------------------- telemetry
-    def stats(self) -> StoreStats:
+    def stats(self) -> EngineCacheInfo:
         with self._lock:
-            return StoreStats(size=0, maxsize=0, cold_size=len(self._slots))
+            return EngineCacheInfo(cold_size=len(self._slots))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

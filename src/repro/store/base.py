@@ -17,7 +17,7 @@ hand it over without a defensive copy; callers holding borrowed rows
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Protocol, runtime_checkable
 
 import numpy as np
@@ -26,25 +26,57 @@ from repro.core.protocols import ProfileKey
 
 
 @dataclass(frozen=True)
-class StoreStats:
-    """One consistent snapshot of a store's tier traffic and occupancy.
+class EngineCacheInfo:
+    """One consistent snapshot of a feature cache's traffic and occupancy.
 
-    ``size``/``maxsize`` describe the hot (in-RAM) tier — the numbers the
-    legacy engine cache reported — while ``cold_size`` counts live rows in
-    the cold arena.  ``hot_hits``/``cold_hits`` split lookup traffic by the
-    tier that answered; ``promotions`` are cold rows copied into the hot
-    tier on a hot-miss/cold-hit, ``demotions`` are hot-tier evictions whose
-    row stayed reachable in the cold tier instead of being dropped.
+    The single cache-statistics type: stores fill in the counts of the
+    operations they perform (lookups, evictions, tier moves, invalidation
+    drops), the engine adds ``featurized`` (no store sees featurization),
+    and partitioned transports :meth:`merge` per-shard snapshots.
+
+    ``size``/``maxsize`` describe the hot (in-RAM) tier while ``cold_size``
+    counts live rows in the cold arena.  ``hits`` = ``hot_hits`` +
+    ``cold_hits`` split lookup traffic by the tier that answered;
+    ``promotions`` are cold rows copied into the hot tier on a
+    hot-miss/cold-hit, ``demotions`` are hot-tier evictions whose row stayed
+    reachable in the cold tier instead of being dropped.
     """
 
-    size: int
-    maxsize: int
+    hits: int = 0
+    misses: int = 0
     evictions: int = 0
+    size: int = 0
+    maxsize: int = 0
+    #: Total profile rows pushed through the featurizer so far.
+    featurized: int = 0
+    #: Rows dropped by explicit ``invalidate``/``invalidate_stale`` calls.
+    invalidated: int = 0
     hot_hits: int = 0
     cold_hits: int = 0
     promotions: int = 0
     demotions: int = 0
+    #: Live rows in the cold arena tier (0 without one).
     cold_size: int = 0
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of lookups served from the cache."""
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+    @classmethod
+    def merge(cls, infos: Iterable["EngineCacheInfo"]) -> "EngineCacheInfo":
+        """Aggregate shard-level snapshots into one cluster-level snapshot.
+
+        Every field sums (counters, sizes and capacities alike); ``hit_rate``
+        derives from the summed counters.  An empty iterable merges to the
+        all-zero snapshot.
+        """
+        totals = dict.fromkeys((f.name for f in fields(cls)), 0)
+        for info in infos:
+            for name in totals:
+                totals[name] += getattr(info, name)
+        return cls(**totals)
 
 
 @runtime_checkable
@@ -87,8 +119,8 @@ class FeatureStore(Protocol):
         """Install borrowed rows (always copied); returns keys still resident."""
         ...
 
-    def stats(self) -> StoreStats:
-        """Current tier traffic and occupancy."""
+    def stats(self) -> EngineCacheInfo:
+        """Current tier traffic and occupancy (``featurized`` stays 0)."""
         ...
 
     def __len__(self) -> int:

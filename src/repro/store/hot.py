@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.protocols import ProfileKey, RevisionedKeyIndex
 from repro.errors import ConfigurationError
-from repro.store.base import StoreStats
+from repro.store.base import EngineCacheInfo
 
 #: Eviction callback: ``(key, row)`` leaving the hot tier.
 EvictHook = Callable[[ProfileKey, np.ndarray], None]
@@ -51,13 +51,17 @@ class HotStore:
         self._index = RevisionedKeyIndex()  # guarded-by: _lock
         self._on_evict = on_evict
         self._hits = 0  # guarded-by: _lock
+        self._misses = 0  # guarded-by: _lock
         self._evictions = 0  # guarded-by: _lock
+        self._invalidated = 0  # guarded-by: _lock
 
     # ----------------------------------------------------------------- lookups
     def get(self, key: ProfileKey) -> np.ndarray | None:
         with self._lock:
             row = self._rows.get(key)
-            if row is not None:
+            if row is None:
+                self._misses += 1
+            else:
                 self._rows.move_to_end(key)
                 self._hits += 1
             return row
@@ -115,11 +119,15 @@ class HotStore:
 
     def invalidate(self, uids: Iterable[int]) -> int:
         with self._lock:
-            return len(self.drop_keys(self._index.keys_of(uids)))
+            dropped = len(self.drop_keys(self._index.keys_of(uids)))
+            self._invalidated += dropped
+            return dropped
 
     def invalidate_stale(self) -> int:
         with self._lock:
-            return len(self.drop_keys(self._index.stale_keys()))
+            dropped = len(self.drop_keys(self._index.stale_keys()))
+            self._invalidated += dropped
+            return dropped
 
     def keys_of(self, uids: Iterable[int]) -> list[ProfileKey]:
         """Resident keys of the given users (invalidation planning)."""
@@ -152,12 +160,15 @@ class HotStore:
             return sum(1 for key in rows if key in self._rows)
 
     # --------------------------------------------------------------- telemetry
-    def stats(self) -> StoreStats:
+    def stats(self) -> EngineCacheInfo:
         with self._lock:
-            return StoreStats(
+            return EngineCacheInfo(
+                hits=self._hits,
+                misses=self._misses,
+                evictions=self._evictions,
                 size=len(self._rows),
                 maxsize=self.capacity,
-                evictions=self._evictions,
+                invalidated=self._invalidated,
                 hot_hits=self._hits,
             )
 

@@ -22,6 +22,7 @@ dead to *this* store until a fresh put supersedes the drop.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from typing import Iterable
 
@@ -36,7 +37,7 @@ from repro.obs import (
     get_tracer,
 )
 from repro.store.arena import ArenaStore
-from repro.store.base import StoreStats
+from repro.store.base import EngineCacheInfo
 from repro.store.hot import HotStore
 
 
@@ -60,6 +61,7 @@ class TieredStore:
         self._cold_hits = 0
         self._promotions = 0
         self._demotions = 0
+        self._invalidated = 0
         #: Keys invalidated while the cold tier is read-only: the shared
         #: arena file cannot be mutated, so get() consults this set to keep
         #: the "removed from any tier" invalidation contract honest.
@@ -170,7 +172,7 @@ class TieredStore:
             dropped.update(self._cold.drop_keys(self._cold.keys_of(uids)))
         elif self._cold is not None:
             dropped.update(self._tombstone_cold(self._cold.keys_of(uids)))
-        return len(dropped)
+        return self._count_invalidated(dropped)
 
     def invalidate_stale(self) -> int:
         dropped = set(self._hot.drop_keys(self._hot.stale_keys()))
@@ -178,6 +180,11 @@ class TieredStore:
             dropped.update(self._cold.drop_keys(self._cold.stale_keys()))
         elif self._cold is not None:
             dropped.update(self._tombstone_cold(self._cold.stale_keys()))
+        return self._count_invalidated(dropped)
+
+    def _count_invalidated(self, dropped: set[ProfileKey]) -> int:
+        with self._counters:
+            self._invalidated += len(dropped)
         return len(dropped)
 
     def clear(self) -> None:
@@ -209,21 +216,27 @@ class TieredStore:
             self._cold.close()
 
     # --------------------------------------------------------------- telemetry
-    def stats(self) -> StoreStats:
-        hot = self._hot.stats()
+    def stats(self) -> EngineCacheInfo:
+        # Every lookup first misses or hits the hot tier, so a cold hit is a
+        # hot miss the arena answered: misses = hot misses - cold hits, and
+        # get() takes no extra lock to count them.  The tier counters are
+        # read before the hot tier's, so each cold hit seen here already has
+        # its hot miss counted and misses never dip below zero.
         with self._counters:
-            cold_hits, promotions, demotions = (
+            cold_hits, promotions, demotions, invalidated = (
                 self._cold_hits,
                 self._promotions,
                 self._demotions,
+                self._invalidated,
             )
             tombstoned = len(self._ro_tombstones)
+        hot = self._hot.stats()
         cold_size = max(0, len(self._cold) - tombstoned) if self._cold is not None else 0
-        return StoreStats(
-            size=hot.size,
-            maxsize=hot.maxsize,
-            evictions=hot.evictions,
-            hot_hits=hot.hot_hits,
+        return dataclasses.replace(
+            hot,
+            hits=hot.hits + cold_hits,
+            misses=hot.misses - cold_hits,
+            invalidated=invalidated,
             cold_hits=cold_hits,
             promotions=promotions,
             demotions=demotions,

@@ -267,30 +267,6 @@ class TestMetricsIntegration:
         assert snapshot.latency_p50_ms > 0.0
         assert snapshot.cache is not None
 
-    def test_legacy_metrics_signature_still_receives_flushes(self, engine, test_pairs):
-        """A user metrics object written against the pre-serve observe_flush
-        signature (no num_serves) keeps getting its flush telemetry."""
-
-        class LegacyMetrics:
-            def __init__(self):
-                self.flushes = 0
-
-            def observe_flush(self, num_requests, num_pairs, queue_depth, elapsed_ms):
-                self.flushes += 1
-
-            def observe_latency(self, latency_ms):
-                pass
-
-            def observe_rejection(self):
-                pass
-
-        metrics = LegacyMetrics()
-        with MicroBatcher(engine, metrics=metrics) as batcher:
-            batcher.score(test_pairs)
-            batcher.serve(JudgeRequest(pairs=tuple(test_pairs)))
-        assert metrics.flushes >= 2
-        assert batcher.metrics_errors == 0
-
     def test_serve_requests_are_counted(self, engine, test_pairs):
         with MicroBatcher(engine) as batcher:
             batcher.serve(JudgeRequest(pairs=tuple(test_pairs)))

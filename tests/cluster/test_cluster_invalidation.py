@@ -220,17 +220,36 @@ class TestWorkerPoolPropagation:
             assert pool.serve(request).cache_invalidated == 0
 
     def test_metrics_count_invalidated_rows(self, fitted_pipeline, serving_profiles):
-        from repro.cluster import ClusterMetrics
-
-        metrics = ClusterMetrics()
-        with WorkerPool(
-            fitted_pipeline, num_workers=2, cache_size=1024, metrics=metrics
-        ) as pool:
+        with WorkerPool(fitted_pipeline, num_workers=2, cache_size=1024) as pool:
             pool.warm(serving_profiles)
             dropped = pool.invalidate([p.uid for p in serving_profiles])
-        snapshot = metrics.snapshot()
-        assert snapshot.invalidated_rows == dropped
-        assert f"invalidated_rows={dropped}" in snapshot.format()
+            snapshot = pool.metrics.snapshot()
+        assert dropped >= 1
+        assert snapshot.cache.invalidated == dropped
+        assert f"invalidated={dropped}" in snapshot.format()
+
+    def test_batcher_sharing_pool_metrics_counts_each_drop_once(
+        self, fitted_pipeline, serving_profiles
+    ):
+        """Regression: a batcher wired with ``metrics=pool.metrics`` used to
+        count every invalidated row twice, once per layer it passed through."""
+        with WorkerPool(fitted_pipeline, num_workers=2, cache_size=1024) as pool:
+            with MicroBatcher(pool, metrics=pool.metrics) as batcher:
+                batcher.warm(serving_profiles)
+                dropped = batcher.submit_invalidate(
+                    [p.uid for p in serving_profiles]
+                ).result(timeout=30)
+            snapshot = pool.metrics.snapshot()
+            text = pool.metrics.to_text()
+        reported = [
+            float(line.rsplit(" ", 1)[1])
+            for line in text.splitlines()
+            if "invalidated" in line and not line.startswith("#")
+        ]
+        assert dropped >= 1
+        assert reported == [dropped]
+        assert snapshot.cache.invalidated == dropped
+        assert f"invalidated={dropped}" in snapshot.format()
 
     def test_respawned_worker_cannot_resurrect_invalidated_rows(
         self, fitted_pipeline, serving_profiles

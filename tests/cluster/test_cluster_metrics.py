@@ -1,5 +1,7 @@
 """Tests for ClusterMetrics and the EngineCacheInfo merge helper."""
 
+import dataclasses
+
 import numpy as np
 
 from repro.api import ColocationEngine, EngineCacheInfo
@@ -101,6 +103,16 @@ class TestClusterMetrics:
         assert snapshot.cache is not None
         assert snapshot.cache.size > 0
         assert snapshot.shard_caches == ()
+
+    def test_to_text_exposes_every_cache_field(self, fitted_pipeline, tiny_dataset):
+        engine = ColocationEngine(fitted_pipeline, cache_size=64)
+        engine.warm(tiny_dataset.train.labeled_profiles[:4])
+        metrics = ClusterMetrics(engine)
+        text = metrics.to_text()
+        info = engine.cache_info()
+        for field in dataclasses.fields(EngineCacheInfo):
+            assert f'repro_cache_stat{{stat="{field.name}"}}' in text
+        assert f'repro_cache_stat{{stat="featurized"}} {info.featurized}' in text
 
     def test_snapshot_pulls_per_shard_caches(self, fitted_pipeline, tiny_dataset):
         with ShardedEngine(fitted_pipeline, num_shards=3, cache_size=96) as engine:

@@ -148,6 +148,14 @@ class TestTensorBehaviour:
         z.sum().backward()
         np.testing.assert_allclose(t.grad, [8.0])
 
+    def test_ndarray_on_the_left_defers_to_the_tensor(self):
+        t = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        left = np.array([3.0, 5.0])
+        for result in (left * t, left + t, left - t, left / t):
+            assert isinstance(result, Tensor)
+        (left * t + left / t - left).sum().backward()
+        np.testing.assert_allclose(t.grad, left - left / t.data**2)
+
     @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5))
     @settings(max_examples=20, deadline=None)
     def test_sum_grad_is_ones(self, rows, cols):

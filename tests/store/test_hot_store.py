@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.store import FeatureStore, HotStore, StoreStats
+from repro.store import EngineCacheInfo, FeatureStore, HotStore
 
 
 def key(uid, rev=0, ts=0.0):
@@ -30,7 +30,7 @@ def test_get_put_round_trip_and_hit_accounting():
     store.put(key(1), row(1.0))
     assert np.array_equal(store.get(key(1)), row(1.0))
     stats = store.stats()
-    assert stats == StoreStats(size=1, maxsize=4, evictions=0, hot_hits=1)
+    assert stats == EngineCacheInfo(hits=1, misses=1, size=1, maxsize=4, hot_hits=1)
 
 
 def test_put_takes_ownership_without_copy_by_default():

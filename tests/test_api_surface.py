@@ -1,9 +1,9 @@
-"""Snapshot tests of the public API surface and its deprecation shims.
+"""Snapshot tests of the public API surface.
 
-These tests pin the exported names of the new top-level packages so an
-accidental rename or a dropped export fails loudly, and they prove the legacy
-entry points still work — behind a DeprecationWarning — after the engine
-redesign.
+These tests pin the exported names of the top-level packages so an
+accidental rename or a dropped export fails loudly, and they check that the
+plain entry points (a raw judge passed positionally to a service, the CLI's
+default judge) work without any DeprecationWarning — no shims remain.
 """
 
 import warnings
