@@ -15,7 +15,8 @@ multi-core hosts.  The script walks the tier end to end:
    :class:`repro.cluster.MicroBatcher` on top — the pool speaks the full
    engine surface, so everything that fronts an engine fronts a pool;
 4. snapshot the worker caches, then kill a worker with ``SIGKILL`` and watch
-   the pool respawn it warm-started from the retained snapshot rows, with
+   the pool respawn it warm-started from the retained snapshot rows, its
+   slot's cache counters carried over, with
    :class:`repro.cluster.ClusterMetrics` counting the incident;
 5. close the pool and verify no worker process survives.
 
@@ -87,6 +88,9 @@ def main() -> None:
 
         victim = max(range(pool.num_workers), key=lambda index: len(snapshot[index]))
         victim_pid = pool.worker_pids()[victim]
+        # The gateway carries a slot's counters across a respawn from the
+        # dead worker's last report; this read is that report.
+        before = pool.worker_cache_infos()[victim]
         print(f"killing worker {victim} (pid {victim_pid}) with SIGKILL ...")
         os.kill(victim_pid, signal.SIGKILL)
         time.sleep(0.2)
@@ -100,8 +104,11 @@ def main() -> None:
         info = pool.worker_cache_infos()[victim]
         print(
             f"worker {victim} respawned as pid {pool.worker_pids()[victim]} with "
-            f"{info.size} cache rows restored from the snapshot"
+            f"{info.size} cache rows restored from the snapshot; the slot's counts "
+            f"carried over (hits {before.hits} -> {info.hits}, "
+            f"featurized {before.featurized} -> {info.featurized})"
         )
+        assert info.featurized >= before.featurized and info.hits >= before.hits
         assert np.array_equal(single.predict_proba(requests[0]), pool.predict_proba(requests[0]))
 
         print()

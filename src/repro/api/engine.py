@@ -35,11 +35,12 @@ import numpy as np
 
 from repro.api.core import CallCacheStats, JudgementCore
 from repro.api.messages import JudgeRequest, JudgeResponse
-from repro.core.protocols import ProfileKey, featurizer_dim, profile_key
+from repro.core.protocols import featurizer_dim, profile_key
 from repro.data.records import Pair, Profile
 from repro.errors import ConfigurationError
 from repro.obs import STAGE_FEATURIZE, get_tracer
 from repro.store import ArenaStore, EngineCacheInfo, FeatureStore, HotStore, TieredStore
+from repro.store.base import resolve_rows
 
 
 class ColocationEngine:
@@ -157,71 +158,44 @@ class ColocationEngine:
         return self._core.feature_space
 
     # ----------------------------------------------------------- feature cache
-    def _features_for(self, profiles: list[Profile]) -> np.ndarray:
-        """Feature rows for profiles through the store; featurizes misses once.
+    def _resolve_features(self, profiles: list[Profile]) -> tuple[np.ndarray, "CallCacheStats"]:
+        """Feature rows through the store plus this call's own cache statistics.
 
         Duplicate profiles within one call are deduplicated before touching
         the featurizer, so each distinct profile is featurized exactly once
-        even with a disabled cache.
+        even with a disabled cache.  The stats are local to the call (its
+        hits, misses, featurized rows and the positions of those misses), so
+        concurrent callers never leak into each other's accounting.
 
         Thread-safe: the store carries its own lock and the engine lock only
         guards counters; featurization of the misses runs outside both so
         concurrent callers overlap on the expensive part.  Two threads missing the same
         profile simultaneously both featurize it (both misses are counted,
-        last insert wins) — wasted work, never corruption of *this* cache.
-        The wrapped judge's ``featurize_profiles`` must itself tolerate the
-        resulting concurrency; judges with unsynchronised internal caches
-        (the HisRect featurizer) should be driven by one thread at a time,
-        which is how :class:`repro.cluster.ShardedEngine` schedules them
-        (each shard's gathers run on that shard's single-thread executor).
+        last insert wins) — wasted work, never corruption.  The featurizer's
+        own memos are locked :class:`repro.store.HotStore` objects that race
+        the same way.  :class:`repro.cluster.ShardedEngine` runs each shard's
+        gathers on that shard's one thread to fan calls out across shards,
+        not for safety.
         """
-        rows, _ = self._resolve_features(profiles)
-        return rows
 
-    def _resolve_features(self, profiles: list[Profile]) -> tuple[np.ndarray, "CallCacheStats"]:
-        """:meth:`_features_for` plus this call's own cache statistics.
-
-        The stats are local to the call (its hits, misses, the ``len`` of the
-        miss batch it featurized and the positions of those misses), so
-        concurrent callers never leak into each other's accounting the way a
-        before/after read of the global counters would.
-        """
-        keys = [profile_key(p) for p in profiles]
-        missing: dict[ProfileKey, int] = {}
-        resolved: dict[ProfileKey, np.ndarray] = {}
-        call_hits = 0
-        for position, key in enumerate(keys):
-            if key in resolved or key in missing:
-                continue
-            row = self.store.get(key)
-            if row is not None:
-                call_hits += 1
-                resolved[key] = row
-            else:
-                missing[key] = position
-        if missing:
-            batch = [profiles[position] for position in missing.values()]
+        def featurize(positions: list[int]) -> np.ndarray:
             with get_tracer().stage(STAGE_FEATURIZE):
-                rows = self.judge.featurize_profiles(batch)
+                rows = self.judge.featurize_profiles([profiles[i] for i in positions])
             with self._lock:
-                self._featurized += len(batch)
-            for key, row in zip(missing, rows):
-                resolved[key] = row
-                # Each row is a view into the featurized (B, D) batch; the
-                # hot tier copies views on insert so one resident row never
-                # pins the whole batch in RAM.
-                self.store.put(key, row)
+                self._featurized += len(positions)
+            return rows  # views of one batch: the hot tier copies them on insert
+
+        rows, missed, hits = resolve_rows(self.store, [profile_key(p) for p in profiles], featurize)
         with self._lock:
             call_invalidated = self._pending_invalidated
             self._pending_invalidated = 0
-        stats = CallCacheStats(
-            hits=call_hits,
-            misses=len(missing),
-            featurized=len(missing),
+        return rows, CallCacheStats(
+            hits=hits,
+            misses=len(missed),
+            featurized=len(missed),
             invalidated=call_invalidated,
-            missed=tuple(missing.values()),
+            missed=missed,
         )
-        return np.stack([resolved[key] for key in keys]), stats
 
     # ------------------------------------------------------------ invalidation
     def invalidate(self, uids: Iterable[int]) -> int:
@@ -328,7 +302,7 @@ class ColocationEngine:
         if not profiles:
             featurizer = getattr(self.judge, "featurizer", None)
             return np.zeros((0, featurizer_dim(featurizer)))
-        return self._features_for(profiles)
+        return self._resolve_features(profiles)[0]
 
     # ---------------------------------------------------------- POI inference
     def infer_poi_proba(self, profiles: list[Profile]) -> np.ndarray:

@@ -229,9 +229,9 @@ class MicroBatcher:
         request (a row featurized for the flush is a miss for the first
         request containing it, a hit for later ones).
         """
-        if not hasattr(self.engine, "serve"):
+        if not hasattr(self.engine, "serve_batch"):
             raise ConfigurationError(
-                "the engine does not expose serve(request); "
+                "the engine does not expose serve_batch(requests); "
                 "wrap the judge in a ColocationEngine or ShardedEngine"
             )
         if request.threshold is not None and not 0.0 <= request.threshold <= 1.0:
@@ -453,14 +453,9 @@ class MicroBatcher:
                 # pairs gather and score together (the engine's
                 # JudgementCore keeps thresholds, decisions and cache stats
                 # per request).
-                # Engines predating serve_batch fall back to per-request
-                # serve calls in flush order.
-                if hasattr(self.engine, "serve_batch"):
-                    responses = list(
-                        self.engine.serve_batch([p.payload for p in serve_requests])
-                    )
-                else:
-                    responses = [self.engine.serve(p.payload) for p in serve_requests]
+                responses = list(
+                    self.engine.serve_batch([p.payload for p in serve_requests])
+                )
                 if len(responses) != len(serve_requests):
                     # Fail loudly into the except below — a silent zip
                     # truncation would leave the surplus futures hanging.

@@ -43,6 +43,7 @@ daemonic).
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import multiprocessing
 import secrets
 import tempfile
@@ -73,8 +74,13 @@ from repro.obs import (
 #: How long a HELLO handshake may take once a connection is accepted.
 _HELLO_TIMEOUT = 30.0
 
-#: What a dead or stalled worker reports: an empty cache, not a failure.
+#: A worker that has reported nothing yet.
 _NO_CACHE = EngineCacheInfo()
+
+
+def _counters(info: EngineCacheInfo) -> EngineCacheInfo:
+    """``info`` without the rows it held: what outlives a dead worker."""
+    return dataclasses.replace(info, size=0, maxsize=0, cold_size=0)
 
 
 @dataclass
@@ -143,6 +149,11 @@ class _WorkerShard:
         #: Rows to warm-start a respawned worker with — refreshed by
         #: export() and import_rows(), purged by invalidation.
         self.retained: dict[ProfileKey, np.ndarray] | None = None
+        self._counts_lock = threading.Lock()
+        #: The live worker's last ``cache_info`` report.
+        self._last = _NO_CACHE  # guarded-by: _counts_lock
+        #: The counters of every dead worker in this slot.
+        self._carried = _NO_CACHE  # guarded-by: _counts_lock
 
     def submit(self, op: str, body: dict, arrays=(), frame: int = wire.FRAME_CALL) -> Future:
         handle = self.pool._ensure_worker(self.index)
@@ -164,20 +175,35 @@ class _WorkerShard:
         return asyncio.run_coroutine_threadsafe(warm(), self.pool._loop)
 
     def cache_info(self) -> EngineCacheInfo:
-        """This worker's cache statistics, or an all-zero entry for a dead one.
+        """This worker slot's cache statistics, counted across respawns.
 
-        This is the surface ``ClusterMetrics`` reads, and the moment after
-        an incident is exactly when the report must still render.  A worker
-        the heartbeat marks unhealthy is not asked at all — a stalled worker
-        would block the report on the incident it is reporting.
+        The live worker's report plus what its dead predecessors last
+        reported; a worker that cannot answer adds its own last counters and
+        no rows.  This is the surface ``ClusterMetrics`` reads, and the
+        moment after an incident is exactly when the report must still
+        render.  A worker the heartbeat marks unhealthy is not asked at all —
+        a stalled worker would block the report on the incident it is
+        reporting.
         """
+        live = None
         if self.pool._healthy[self.index]:
             try:
                 body, _ = self.call("cache_info", {})
-                return EngineCacheInfo(**body)
+                live = EngineCacheInfo(**body)
             except (WorkerCrashError, ConfigurationError):
                 pass
-        return _NO_CACHE
+        with self._counts_lock:
+            if live is None:
+                live = _counters(self._last)
+            else:
+                self._last = live
+            return EngineCacheInfo.merge([self._carried, live])
+
+    def carry_counts(self) -> None:
+        """On respawn: fold the dead worker's last counters into the carried ones."""
+        with self._counts_lock:
+            self._carried = EngineCacheInfo.merge([self._carried, _counters(self._last)])
+            self._last = _NO_CACHE  # never counted twice
 
     def invalidate(self, uids: list[int]) -> int:
         if self.retained:
@@ -460,6 +486,7 @@ class WorkerPool(PartitionedEngine):
             if handle.alive:  # another caller beat us to the respawn
                 return handle
             (replacement,) = self._spawn_many([index])
+            self._shards[index].carry_counts()
             self._handles[index] = replacement
             self._observe("observe_worker_respawn")
             # With an arena the respawned worker already mapped its slice —

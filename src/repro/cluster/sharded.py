@@ -403,10 +403,12 @@ class PartitionedEngine:
 class _EngineShard(ColocationEngine):
     """An in-process shard: an engine driven by its own single thread.
 
-    The judges' internal featurizer caches (text vectorizer LRU, history
-    cache) are not thread-safe, so each shard's gathers and warms queue on
-    its one thread: concurrent callers fan out across shards but serialise
-    within one, and a replica is only ever mutated by one thread at a time.
+    The thread is the fan-out: a call submits one gather per owner shard and
+    they run concurrently, while each shard's gathers and warms queue on its
+    one thread, so a replica runs at most one featurize at a time and
+    concurrent callers cannot pile onto one shard.  It is not a lock: the
+    replica's featurizer memos (the vectorizer's word vectors, the ``Fv(r)``
+    rows) are each a locked :class:`repro.store.HotStore`, safe to share.
     """
 
     def __init__(self, judge, **kwargs):

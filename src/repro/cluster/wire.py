@@ -195,9 +195,17 @@ def encode_keys(keys: Iterable[ProfileKey]) -> list[list]:
     return [[k[0], k[1], k[2], k[3], key_revision(k)] for k in keys]
 
 
-def decode_keys(keys: Iterable[Sequence]) -> list[ProfileKey]:
-    """Inverse of :func:`encode_keys`: typed 5-tuple profile keys."""
-    return [(int(k[0]), float(k[1]), str(k[2]), int(k[3]), int(k[4])) for k in keys]
+def decode_keys(keys: object) -> list[ProfileKey]:
+    """Inverse of :func:`encode_keys`; :class:`WireProtocolError` on a malformed list."""
+    if not isinstance(keys, list):
+        raise WireProtocolError(f"profile keys must be a list, got {type(keys).__name__}")
+    bad = [k for k in keys if not isinstance(k, list) or len(k) != 5]
+    if bad:
+        raise WireProtocolError(f"a profile key is a list of 5, got {bad[0]!r}")
+    try:
+        return [(int(k[0]), float(k[1]), str(k[2]), int(k[3]), int(k[4])) for k in keys]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise WireProtocolError(f"invalid profile key: {exc}") from exc
 
 
 # ------------------------------------------------------------ profile batches

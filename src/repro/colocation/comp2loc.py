@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.protocols import (
-    ProfileKey,
-    profile_key,
-    shared_poi_probability_matrix,
-)
+from repro.colocation.judge import HisRectCoLocationJudge
+from repro.core.protocols import profile_key, shared_poi_probability_matrix
 from repro.data.records import Pair, Profile
 from repro.errors import NotFittedError
 from repro.features.hisrect import HisRectFeaturizer, POIClassifier
+from repro.store import HotStore, resolve_rows
 
 
 class Comp2LocJudge:
@@ -30,7 +28,8 @@ class Comp2LocJudge:
     def __init__(self, featurizer: HisRectFeaturizer, classifier: POIClassifier):
         self.featurizer = featurizer
         self.classifier = classifier
-        self._feature_cache: dict[ProfileKey, np.ndarray] = {}
+        #: Feature-row memo, bounded like the HisRect judge's.
+        self._feature_cache = HotStore(HisRectCoLocationJudge.FEATURE_CACHE_SIZE)
 
     def featurize_profiles(self, profiles: list[Profile]) -> np.ndarray:
         """Frozen HisRect feature rows for profiles (uncached, chunked).
@@ -41,12 +40,10 @@ class Comp2LocJudge:
         return self.featurizer.featurize_profiles(profiles)
 
     def _features(self, profiles: list[Profile]) -> np.ndarray:
-        missing = [p for p in profiles if profile_key(p) not in self._feature_cache]
-        if missing:
-            rows = self.featurize_profiles(missing)
-            for profile, row in zip(missing, rows):
-                self._feature_cache[profile_key(profile)] = row
-        return np.stack([self._feature_cache[profile_key(p)] for p in profiles])
+        """Memoised feature rows; each distinct profile is featurized at most once."""
+        keys = [profile_key(p) for p in profiles]
+        featurize = self.featurize_profiles
+        return resolve_rows(self._feature_cache, keys, lambda at: featurize([profiles[i] for i in at]))[0]
 
     def infer_poi_indices(self, profiles: list[Profile]) -> np.ndarray:
         """Dense POI-index predictions for profiles."""

@@ -14,14 +14,11 @@ takes ~1 ms once the networks are trained).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.protocols import (
-    ProfileKey,
-    RevisionedKeyIndex,
     profile_key,
     symmetric_probability_matrix,
     upper_triangle_pairs,
@@ -34,6 +31,7 @@ from repro.nn.layers import MLP, Linear
 from repro.nn.losses import binary_cross_entropy_with_logits
 from repro.nn.module import Module
 from repro.nn.optim import Adam, clip_grad_norm
+from repro.store import HotStore, resolve_rows
 
 
 @dataclass
@@ -108,12 +106,9 @@ class JudgeTrainingHistory:
 class HisRectCoLocationJudge:
     """Phase-two model: featurize with a frozen ``F`` and judge co-location."""
 
-    #: Default bound on memoised feature rows.  The judge's direct-call memo
-    #: used to be an unbounded dict — fine for a one-shot experiment, a leak
-    #: under long-running serving; it now evicts LRU-style like every other
-    #: cache in the stack.  :meth:`fit` raises the instance's
-    #: ``feature_cache_size`` to the training set's distinct-profile count so
-    #: epoch scans never thrash.
+    #: Default bound on memoised feature rows (Comp2Loc's memo shares it).
+    #: :meth:`fit` raises its memo's capacity to the training set's
+    #: distinct-profile count so epoch scans never thrash.
     FEATURE_CACHE_SIZE = 8192
 
     def __init__(self, featurizer: HisRectFeaturizer, config: JudgeConfig | None = None):
@@ -121,15 +116,10 @@ class HisRectCoLocationJudge:
         self.config = config or JudgeConfig()
         self.network = CoLocationJudgeNetwork(featurizer.feature_dim, self.config)
         self._rng = np.random.default_rng(self.config.seed)
-        self.feature_cache_size = self.FEATURE_CACHE_SIZE
-        self._feature_cache: OrderedDict[ProfileKey, np.ndarray] = OrderedDict()
-        self._feature_index = RevisionedKeyIndex()
+        self._feature_cache = HotStore(self.FEATURE_CACHE_SIZE)
         self._fitted = False
 
     # ---------------------------------------------------------------- features
-    def _profile_key(self, profile: Profile) -> ProfileKey:
-        return profile_key(profile)
-
     def featurize_profiles(self, profiles: list[Profile]) -> np.ndarray:
         """Frozen HisRect feature rows for profiles (uncached, chunked).
 
@@ -141,51 +131,24 @@ class HisRectCoLocationJudge:
     def profile_features(self, profiles: list[Profile]) -> np.ndarray:
         """Frozen HisRect features for profiles, memoised across calls.
 
-        The memo is a bounded LRU keyed by the revision-carrying
-        :func:`repro.core.profile_key`, so a mutated profile (higher
-        revision) can never read a stale row; dead generations are reclaimed
-        by :meth:`invalidate`, never as an insert side effect.  Serving-layer
+        The memo is a bounded :class:`repro.store.HotStore` keyed by the
+        revision-carrying :func:`repro.core.profile_key`, so a mutated
+        profile (higher revision) can never read a stale row; dead
+        generations are reclaimed by :meth:`invalidate`.  Serving-layer
         callers should prefer the engine's cache; this memo backs direct
         judge calls and training epochs.
         """
-        keys = [self._profile_key(p) for p in profiles]
-        missing: dict[ProfileKey, Profile] = {}
-        resolved: dict[ProfileKey, np.ndarray] = {}
-        for key, profile in zip(keys, profiles):
-            if key in resolved or key in missing:
-                continue
-            row = self._feature_cache.get(key)
-            if row is not None:
-                self._feature_cache.move_to_end(key)
-                resolved[key] = row
-            else:
-                missing[key] = profile
-        if missing:
-            features = self.featurize_profiles(list(missing.values()))
-            for key, row in zip(missing, features):
-                row = np.array(row, copy=True)
-                resolved[key] = row
-                self._feature_cache[key] = row
-                self._feature_cache.move_to_end(key)
-                self._feature_index.register(key)
-                while len(self._feature_cache) > self.feature_cache_size:
-                    evicted, _ = self._feature_cache.popitem(last=False)
-                    self._feature_index.discard(evicted)
-        return np.stack([resolved[key] for key in keys])
+        keys = [profile_key(p) for p in profiles]
+        featurize = self.featurize_profiles
+        return resolve_rows(self._feature_cache, keys, lambda at: featurize([profiles[i] for i in at]))[0]
 
     def invalidate(self, uids: list[int]) -> int:
         """Drop memoised rows of the given users; returns rows dropped."""
-        dropped = 0
-        for key in self._feature_index.keys_of(uids):
-            if self._feature_cache.pop(key, None) is not None:
-                dropped += 1
-            self._feature_index.discard(key)
-        return dropped
+        return self._feature_cache.invalidate(uids)
 
     def clear_cache(self) -> None:
         """Drop memoised features (needed if the featurizer is retrained)."""
         self._feature_cache.clear()
-        self._feature_index.clear()
 
     # ---------------------------------------------------------------- training
     def fit(self, labeled_pairs: list[Pair]) -> JudgeTrainingHistory:
@@ -200,11 +163,11 @@ class HisRectCoLocationJudge:
         for pair in labeled_pairs:
             profiles.append(pair.left)
             profiles.append(pair.right)
-        # Warm the feature cache once for all involved profiles, raising the
-        # LRU bound to the training set's distinct-profile count first so the
+        # Warm the feature memo once for all involved profiles, raising its
+        # bound to the training set's distinct-profile count first so the
         # epoch batch loop re-reads warm rows instead of thrashing.
-        distinct = len({self._profile_key(p) for p in profiles})
-        self.feature_cache_size = max(self.feature_cache_size, distinct)
+        distinct = len({profile_key(p) for p in profiles})
+        self._feature_cache.capacity = max(self._feature_cache.capacity, distinct)
         self.profile_features(profiles)
 
         optimizer = Adam(self.network.parameters(), lr=cfg.learning_rate, weight_decay=cfg.weight_decay)

@@ -143,8 +143,8 @@ def superseded_keys(keys: "Iterable[ProfileKey]") -> set[ProfileKey]:
 class RevisionedKeyIndex:
     """Per-uid index over resident :data:`ProfileKey` cache keys.
 
-    Serving caches (:class:`repro.api.ColocationEngine`, the judge-side
-    feature cache) keep one of these alongside their LRU so invalidation is
+    The stores (:class:`repro.store.HotStore`, :class:`repro.store.ArenaStore`),
+    and with them every per-profile memo, keep one of these so invalidation is
     O(rows dropped), not O(cache): ``keys_of`` answers ``invalidate(uids)``
     and ``stale_keys`` answers ``invalidate_stale()``.  Registration never
     drops anything by itself — with revision-exact keys every resident row

@@ -23,9 +23,10 @@ benchmarks:
 All encoders share a :class:`TextVectorizer` that tokenises, maps to
 vocabulary ids, looks up the (frozen) skip-gram vectors and pads very short
 (or empty) tweets so the convolution always has at least ``kernel_height``
-rows.  Its per-profile word-vector cache is a bounded LRU
-(:attr:`TextVectorizer.cache_stats` reports hits/misses/evictions), so
-long-running serving cannot leak one entry per distinct tweet forever.
+rows.  Its per-profile word-vector cache is a bounded
+:class:`repro.store.HotStore` (:attr:`TextVectorizer.cache_stats` is the
+store's ``stats()``), so long-running serving cannot leak one entry per
+distinct tweet forever.
 
 **Batch contract.**  Every encoder exposes two paths:
 
@@ -50,7 +51,6 @@ long-running serving cannot leak one entry per distinct tweet forever.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +64,7 @@ from repro.nn.module import Module
 from repro.nn.pooling import AttentionPooling, masked_mean_over_time
 from repro.nn.recurrent import BiLSTM, ConvLSTM, time_mask
 from repro.store.base import EngineCacheInfo
+from repro.store.hot import HotStore
 from repro.text.skipgram import SkipGramModel
 from repro.text.tokenize import STOPWORD_TOKEN, Tokenizer, Vocabulary
 
@@ -91,13 +92,11 @@ class TextVectorizer:
     Parameters
     ----------
     cache_size:
-        Maximum number of per-profile word-vector matrices kept in the LRU
-        cache (the same eviction pattern as the serving engine's feature
-        cache).  ``0`` disables caching; the previous unbounded dict grew one
-        entry per distinct ``(uid, ts, content)`` forever — a memory leak in
-        long-running serving.  Training scans revisit every profile each
-        epoch, so trainers should size the cache at least as large as the
-        training set (the pipeline does) or the LRU thrashes.
+        Maximum number of per-profile word-vector matrices kept in the
+        cache, a :class:`repro.store.HotStore` like the serving engine's hot
+        tier.  ``0`` disables caching.  Training scans revisit every profile
+        each epoch, so trainers should size the cache at least as large as
+        the training set (the pipeline does) or the cache thrashes.
     """
 
     def __init__(
@@ -116,12 +115,9 @@ class TextVectorizer:
         self.tokenizer = tokenizer or Tokenizer()
         self.max_tokens = max_tokens
         self.min_tokens = min_tokens
-        self.cache_size = cache_size
         self._pad_id = vocabulary.token_to_id.get(STOPWORD_TOKEN, vocabulary.unknown_id)
-        self._cache: OrderedDict[tuple[int, float, str], np.ndarray] = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
+        #: Word-vector matrices keyed by ``(uid, ts, content)``.
+        self._cache = HotStore(cache_size)
 
     @property
     def word_dim(self) -> int:
@@ -129,16 +125,14 @@ class TextVectorizer:
         return self.skipgram.embedding_dim
 
     @property
+    def cache_size(self) -> int:
+        """Row bound of the word-vector cache."""
+        return self._cache.capacity
+
+    @property
     def cache_stats(self) -> EngineCacheInfo:
         """Current word-vector cache statistics (one in-RAM tier, so every hit is hot)."""
-        return EngineCacheInfo(
-            hits=self._hits,
-            misses=self._misses,
-            evictions=self._evictions,
-            size=len(self._cache),
-            maxsize=self.cache_size,
-            hot_hits=self._hits,
-        )
+        return self._cache.stats()
 
     def token_ids(self, text: str) -> list[int]:
         """Vocabulary ids of a tweet, truncated/padded to the configured bounds.
@@ -157,18 +151,10 @@ class TextVectorizer:
     def vectorize(self, profile: Profile) -> np.ndarray:
         """The ``(T, M)`` word-vector matrix of a profile's recent tweet (cached)."""
         key = (profile.uid, profile.ts, profile.content)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._cache.move_to_end(key)
-            self._hits += 1
-            return cached
-        self._misses += 1
-        matrix = self.skipgram.encode_sequence(self.token_ids(profile.content))
-        if self.cache_size > 0:
-            self._cache[key] = matrix
-            while len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
-                self._evictions += 1
+        matrix = self._cache.get(key)
+        if matrix is None:
+            matrix = self.skipgram.encode_sequence(self.token_ids(profile.content))
+            self._cache.put(key, matrix)
         return matrix
 
     def vectorize_batch(self, profiles: list[Profile]) -> tuple[np.ndarray, np.ndarray]:
@@ -177,7 +163,7 @@ class TextVectorizer:
         Returns the ``(B, T, M)`` tensor (``T`` the longest sequence, shorter
         rows zero-padded on the right) and the ``(B,)`` length vector the
         batched encoders mask with.  Per-profile matrices go through
-        :meth:`vectorize`, so the LRU cache is shared with the scalar path.
+        :meth:`vectorize`, so the cache is shared with the scalar path.
         """
         if not profiles:
             return np.zeros((0, max(1, self.min_tokens), self.word_dim)), np.zeros(0, dtype=np.int64)

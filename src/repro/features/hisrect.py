@@ -14,7 +14,6 @@ The featurizer also covers the paper's feature ablations through its config:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +35,7 @@ from repro.geo.poi import POIRegistry
 from repro.nn.autograd import Tensor, concatenate, inference_mode
 from repro.nn.layers import MLP, Dropout, Linear, l2_normalize
 from repro.nn.module import Module
+from repro.store import HotStore, resolve_rows
 
 #: Memo key of one ``Fv(r)`` row: ``(uid, ts, len(visit_history), revision)``.
 HistoryKey = tuple[int, float, int, int]
@@ -120,10 +120,10 @@ _register_featurizer_variants()
 class HisRectFeaturizer(Module):
     """The HisRect featurizer ``F`` (paper Sections 4.1-4.3)."""
 
-    #: Default bound on memoised ``Fv(r)`` rows; caps the history cache in
-    #: long-running serving the same way the vectorizer and engine LRUs do.
-    #: Trainers should raise the instance's ``history_cache_size`` to the
-    #: training-set size (the pipeline does) so epoch scans stay warm.
+    #: Default bound on memoised ``Fv(r)`` rows; the history memo is a
+    #: :class:`repro.store.HotStore`, bounded like the vectorizer's and the
+    #: engine's.  Trainers should raise the instance's ``history_cache_size``
+    #: to the training-set size (the pipeline does) so epoch scans stay warm.
     HISTORY_CACHE_SIZE = 8192
 
     def __init__(
@@ -168,8 +168,7 @@ class HisRectFeaturizer(Module):
             init_std=cfg.init_std,
             rng=rng,
         )
-        self.history_cache_size = self.HISTORY_CACHE_SIZE
-        self._history_cache: OrderedDict[HistoryKey, np.ndarray] = OrderedDict()
+        self._history_cache = HotStore(self.HISTORY_CACHE_SIZE)
 
     # ----------------------------------------------------------------- pieces
     @property
@@ -177,15 +176,22 @@ class HisRectFeaturizer(Module):
         """Dimensionality of ``F(r)``."""
         return self.config.feature_dim
 
+    @property
+    def history_cache_size(self) -> int:
+        """Row bound of the ``Fv(r)`` memo."""
+        return self._history_cache.capacity
+
+    @history_cache_size.setter
+    def history_cache_size(self, size: int) -> None:
+        self._history_cache.capacity = size
+
     def history_feature(self, profile: Profile) -> np.ndarray:
         """``Fv(r)`` with memoisation (it does not depend on trainable weights)."""
         key = self._history_key(profile)
         cached = self._history_cache.get(key)
         if cached is None:
             cached = self.history_featurizer.featurize(profile)
-            self._store_history_row(key, cached)
-        else:
-            self._history_cache.move_to_end(key)
+            self._history_cache.put(key, cached)
         return cached
 
     @staticmethod
@@ -198,12 +204,6 @@ class HisRectFeaturizer(Module):
         """
         revision = -1 if profile.revision is None else int(profile.revision)
         return (profile.uid, profile.ts, len(profile.visit_history), revision)
-
-    def _store_history_row(self, key: HistoryKey, row: np.ndarray) -> None:
-        self._history_cache[key] = row
-        self._history_cache.move_to_end(key)
-        while len(self._history_cache) > self.history_cache_size:
-            self._history_cache.popitem(last=False)
 
     def warm_history_row(self, profile: Profile, row: np.ndarray) -> None:
         """Seed the ``Fv(r)`` memo with an externally computed row.
@@ -222,36 +222,18 @@ class HisRectFeaturizer(Module):
                 f"history row has shape {row.shape}, "
                 f"expected ({self.history_featurizer.feature_dim},)"
             )
-        self._store_history_row(self._history_key(profile), np.array(row, copy=True))
+        self._history_cache.put(self._history_key(profile), row, copy=True)
 
     def _history_rows(self, profiles: list[Profile]) -> np.ndarray:
-        """The ``(B, |P|)`` history rows of a batch through the LRU memo.
+        """The ``(B, |P|)`` history rows of a batch through the ``Fv(r)`` memo.
 
         One vectorised ``featurize_batch`` call replaces per-profile Eq. (1)-(2)
         loops for every cache miss in the batch; rows come back directly, so
         the result is right even when the batch outgrows the cache bound.
         """
         keys = [self._history_key(p) for p in profiles]
-        resolved: dict[HistoryKey, np.ndarray] = {}
-        missing: dict[HistoryKey, Profile] = {}
-        for key, profile in zip(keys, profiles):
-            if key in resolved or key in missing:
-                continue
-            row = self._history_cache.get(key)
-            if row is not None:
-                self._history_cache.move_to_end(key)
-                resolved[key] = row
-            else:
-                missing[key] = profile
-        if missing:
-            rows = self.history_featurizer.featurize_batch(list(missing.values()))
-            for key, row in zip(missing, rows):
-                # Copy: the row is a view into the whole featurized batch, and
-                # caching the view would pin that batch in memory.
-                row = np.array(row, copy=True)
-                resolved[key] = row
-                self._store_history_row(key, row)
-        return np.stack([resolved[key] for key in keys])
+        featurize = self.history_featurizer.featurize_batch
+        return resolve_rows(self._history_cache, keys, lambda at: featurize([profiles[i] for i in at]))[0]
 
     def raw_feature(self, profile: Profile) -> Tensor:
         """The concatenated ``[Fv(r), Fc(r)]`` of one profile (scalar reference).

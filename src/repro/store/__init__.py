@@ -6,6 +6,10 @@ transport caches feature rows — and this package owns that cache as a
 subsystem of its own, behind the :class:`FeatureStore` protocol, instead of
 an ``OrderedDict`` inlined in the engine.
 
+**Resolving.**  :func:`resolve_rows` is the one memo loop: the engine runs
+it over its tiered store, the per-profile memos of :mod:`repro.features` and
+:mod:`repro.colocation` over a plain :class:`HotStore` each.
+
 **Tiering.**  :class:`HotStore` is the revision-indexed in-RAM LRU (the
 engine's original cache, extracted).  :class:`ArenaStore` is the cold tier: a
 fixed-dtype ``numpy.memmap`` arena of row slots on disk, bounded as a FIFO
@@ -40,7 +44,7 @@ without the rows ever crossing the wire.
 """
 
 from repro.store.arena import ArenaStore
-from repro.store.base import EngineCacheInfo, FeatureStore
+from repro.store.base import EngineCacheInfo, FeatureStore, resolve_rows
 from repro.store.hot import HotStore
 from repro.store.tiered import TieredStore
 
@@ -50,4 +54,5 @@ __all__ = [
     "FeatureStore",
     "HotStore",
     "TieredStore",
+    "resolve_rows",
 ]

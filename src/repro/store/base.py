@@ -18,7 +18,7 @@ hand it over without a defensive copy; callers holding borrowed rows
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Callable, Hashable, Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -130,3 +130,33 @@ class FeatureStore(Protocol):
     def __contains__(self, key: ProfileKey) -> bool:
         """Whether ``key`` is resident in any tier."""
         ...
+
+
+def resolve_rows(
+    store: FeatureStore,
+    keys: Sequence[Hashable],
+    compute: Callable[[list[int]], Sequence[np.ndarray]],
+) -> tuple[np.ndarray, tuple[int, ...], int]:
+    """The stacked rows of non-empty ``keys``, the miss positions and the hit count.
+
+    One ``store.get`` per distinct key, one ``compute`` call with the
+    positions of the misses' first occurrences (it returns their rows in
+    that order), one ``store.put`` per miss.  Computed rows are stacked
+    directly, so a batch larger than the store's capacity is still whole.
+    """
+    resolved: dict = {}
+    missing: dict = {}
+    for position, key in enumerate(keys):
+        if key in resolved or key in missing:
+            continue
+        row = store.get(key)
+        if row is None:
+            missing[key] = position
+        else:
+            resolved[key] = row
+    hits = len(resolved)
+    if missing:
+        for key, row in zip(missing, compute(list(missing.values()))):
+            resolved[key] = row
+            store.put(key, row)
+    return np.stack([resolved[key] for key in keys]), tuple(missing.values()), hits

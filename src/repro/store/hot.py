@@ -12,12 +12,15 @@ The ``on_evict`` hook is the tiering seam: the tiered store registers a
 demotion callback, so rows leaving RAM land in the cold arena instead of
 being dropped.  With ``capacity=0`` the store caches nothing and ``put`` is
 a no-op (the tiered store still write-throughs to its cold tier itself).
+It is also the memo type of the featurizers and judges, which are
+deep-copied per shard and pickled into worker bundles, so a store copies.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from copy import deepcopy
 from typing import Callable, Iterable
 
 import numpy as np
@@ -158,6 +161,24 @@ class HotStore:
             for key, row in rows.items():
                 self.put(key, row, copy=True)
             return sum(1 for key in rows if key in self._rows)
+
+    # ------------------------------------------------------------ copy/pickle
+    def __getstate__(self) -> dict:
+        """Everything but the lock, the row table and index taken under it.
+
+        ``deepcopy`` and ``pickle`` both go through this: a copy has the same
+        rows in the same LRU order, watermarks and counters, and a fresh lock.
+        """
+        with self._lock:
+            state = dict(vars(self))
+            state["_rows"] = OrderedDict(self._rows)
+            state["_index"] = deepcopy(self._index)
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self._lock = threading.RLock()
 
     # --------------------------------------------------------------- telemetry
     def stats(self) -> EngineCacheInfo:

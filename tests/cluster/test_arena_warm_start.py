@@ -103,6 +103,9 @@ def test_killed_worker_respawns_from_mapped_arena_with_zero_featurize_calls(
             if pool.worker_cache_infos()[index].cold_size > 0
         )
         old_pid = pool.worker_pids()[victim]
+        # The slot's counters carry across the respawn, so the respawned
+        # worker's own traffic is the difference from this last report.
+        before = pool.worker_cache_infos()[victim]
 
         os.kill(old_pid, signal.SIGKILL)
         _wait_until(lambda: not pool._handles[victim].process.is_alive())
@@ -113,7 +116,7 @@ def test_killed_worker_respawns_from_mapped_arena_with_zero_featurize_calls(
         assert pool.worker_pids()[victim] != old_pid
 
         fresh = pool.worker_cache_infos()[victim]
-        assert fresh.featurized == 0
+        assert fresh.featurized == before.featurized
         assert fresh.cold_size > 0  # the slice is already mapped...
         assert fresh.size == 0  # ...and no retained rows were reshipped
 
@@ -121,9 +124,9 @@ def test_killed_worker_respawns_from_mapped_arena_with_zero_featurize_calls(
         # calls, bit-identical scores.
         assert np.array_equal(pool.predict_proba(serving_pairs), reference)
         after = pool.worker_cache_infos()[victim]
-        assert after.featurized == 0
-        assert after.misses == 0
-        assert after.cold_hits > 0
+        assert after.featurized == before.featurized
+        assert after.misses == before.misses
+        assert after.cold_hits > before.cold_hits
 
         metrics = pool.metrics.snapshot()
         assert metrics.worker_deaths == 1

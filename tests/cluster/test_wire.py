@@ -411,6 +411,36 @@ def test_malformed_profile_batch_raises_typed(rows, arrays, match):
         wire.decode_profiles(rows, arrays)
 
 
+_GOOD_KEY = [7, 12.5, "coffee", 3, 2]
+
+
+def test_profile_keys_roundtrip():
+    keys = [(7, 12.5, "coffee", 3, 2), (8, 1.0, "", 0, -1)]
+    assert wire.decode_keys(wire.encode_keys(keys)) == keys
+    assert wire.decode_keys(wire.encode_keys([(9, 2.0, "tea", 1)])) == [(9, 2.0, "tea", 1, -1)]
+
+
+@pytest.mark.parametrize(
+    "keys, match",
+    [
+        (None, "must be a list"),
+        ({"keys": [_GOOD_KEY]}, "must be a list"),
+        ([_GOOD_KEY[:4]], "list of 5"),
+        ([_GOOD_KEY + [0]], "list of 5"),
+        ([tuple(_GOOD_KEY)], "list of 5"),
+        (["7,12.5,coffee,3,2"], "list of 5"),
+        ([7], "list of 5"),
+        ([["x"] + _GOOD_KEY[1:]], "invalid profile key"),
+        ([_GOOD_KEY[:1] + [None] + _GOOD_KEY[2:]], "invalid profile key"),
+        ([_GOOD_KEY[:3] + [[1]] + _GOOD_KEY[4:]], "invalid profile key"),
+        ([_GOOD_KEY[:4] + [float("inf")]], "invalid profile key"),
+    ],
+)
+def test_malformed_profile_keys_raise_typed(keys, match):
+    with pytest.raises(WireProtocolError, match=match):
+        wire.decode_keys(keys)
+
+
 def test_wire_version_bumped_for_columnar_profile_batches():
     """A version-2 peer's frame is refused, never misparsed as a batch."""
     assert wire.WIRE_VERSION == 3

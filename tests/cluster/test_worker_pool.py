@@ -145,6 +145,25 @@ def test_malformed_gather_is_a_typed_error_and_the_wire_stays_in_sync(
     )
 
 
+@pytest.mark.parametrize(
+    "keys",
+    [
+        [[1, 2.0]],  # a short key
+        "not-a-list",
+        [[1, 2.0, "tweet", "three", 0]],  # a non-numeric field
+    ],
+)
+def test_malformed_restore_is_a_typed_error_and_the_worker_keeps_serving(
+    pool, reference_engine, serving_pairs, keys
+):
+    with pytest.raises(WireProtocolError):
+        pool._call(0, "restore", {"keys": keys}, (np.zeros((1, 4)),))
+    assert pool.ping(0)
+    assert np.array_equal(
+        pool.predict_proba(serving_pairs), reference_engine.predict_proba(serving_pairs)
+    )
+
+
 def test_uid_beyond_uint64_serves_bit_for_bit(pool, reference_engine, serving_pairs):
     big = [
         Pair(
@@ -268,6 +287,32 @@ def test_respawn_restores_retained_cache(fitted_pipeline, serving_pairs):
         assert np.array_equal(
             pool.predict_proba(serving_pairs), reference.predict_proba(serving_pairs)
         )
+
+
+def test_respawned_worker_carries_its_cache_counts(fitted_pipeline, serving_pairs):
+    """A worker slot's hits and featurized rows never drop across respawns."""
+    with WorkerPool(fitted_pipeline, num_workers=2, cache_size=128, respawn=True) as pool:
+        victim = pool.worker_of(serving_pairs[0].left)
+        reports = []
+        for _ in range(2):
+            pool.predict_proba(serving_pairs)  # featurizes the slot's rows
+            pool.predict_proba(serving_pairs)  # then hits them
+            reports.append(pool.worker_cache_infos()[victim])
+            os.kill(pool.worker_pids()[victim], signal.SIGKILL)
+            _wait_until(lambda: not pool._handles[victim].process.is_alive())
+            with pytest.raises(WorkerCrashError):
+                pool.ping(victim)  # the death is noticed here
+            reports.append(pool.worker_cache_infos()[victim])  # respawns
+        pool.predict_proba(serving_pairs)  # the third incarnation featurizes too
+        reports.append(pool.worker_cache_infos()[victim])
+
+        for field in ("featurized", "hits", "misses"):
+            counts = [getattr(report, field) for report in reports]
+            assert counts == sorted(counts), f"{field} dropped: {counts}"
+        # Three cold incarnations each featurized the slot's rows once.
+        assert reports[-1].featurized == 3 * reports[0].featurized > 0
+        assert reports[-1].hits >= 2 * reports[0].hits > 0
+        assert pool.metrics.snapshot().worker_respawns == 2
 
 
 # ------------------------------------------------------------------- shutdown
@@ -453,3 +498,47 @@ def test_heartbeat_reports_a_dead_worker_unhealthy(fitted_pipeline, serving_pair
 def test_heartbeat_interval_validation(fitted_pipeline):
     with pytest.raises(ConfigurationError):
         WorkerPool(fitted_pipeline, num_workers=1, heartbeat_interval_ms=0.0)
+
+
+# ---------------------------------------------------------- standalone worker
+
+
+def test_run_worker_listener_serves_a_raw_gather_then_shuts_down(
+    fitted_pipeline, serving_pairs
+):
+    """The standalone ``--listen`` loop, driven in-process over a raw socket."""
+    import socket
+
+    from repro.cluster import wire
+    from repro.cluster.worker import run_worker_listener
+
+    bound = []
+    ready = threading.Event()
+
+    def on_ready(address):
+        bound.append(address)
+        ready.set()
+
+    thread = threading.Thread(
+        target=run_worker_listener,
+        args=(fitted_pipeline,),
+        kwargs={"once": True, "ready": on_ready, "cache_size": 64},
+        daemon=True,
+    )
+    thread.start()
+    assert ready.wait(10.0)
+    profiles = [pair.left for pair in serving_pairs] + [pair.right for pair in serving_pairs]
+    rows, visits = wire.encode_profiles(profiles)
+    with socket.create_connection(bound[0], timeout=30.0) as sock:
+        wire.send_frame(
+            sock, wire.FRAME_CALL, wire.encode_payload({"op": "gather", "profiles": rows}, [visits])
+        )
+        frame_type, payload = wire.recv_frame(sock)
+        assert frame_type == wire.FRAME_RESULT
+        body, arrays = wire.decode_payload(payload)
+        expected = ColocationEngine(fitted_pipeline, cache_size=0).features(profiles)
+        assert np.array_equal(arrays[0], expected)
+        assert body["featurized"] == body["misses"] == len(body["missed"])
+        wire.send_frame(sock, wire.FRAME_SHUTDOWN, b"")
+        thread.join(10.0)
+    assert not thread.is_alive()
