@@ -20,8 +20,10 @@ least **3x** faster than scratch.
 gate (CI machines are noisy) and instead runs the *correctness* half of the
 live-profile contract end to end: a seeded mutation sequence served through
 all four transports — engine, sharded, micro-batched, worker processes —
+plus a micro-batcher over the worker processes, whose invalidation and
+score futures are all issued before any is awaited so flushes overlap,
 must agree with a freshly built single engine (bit-for-bit outside the
-batcher's 1e-12 coalescing tolerance), with cache invalidation traffic
+batchers' 1e-12 coalescing tolerance), with cache invalidation traffic
 interleaved.
 
 Run standalone::
@@ -194,6 +196,15 @@ def run_transport_mutation_parity() -> dict:
         )
 
     max_batcher_drift = 0.0
+
+    def check_batcher(name, got, expected):
+        nonlocal max_batcher_drift
+        max_batcher_drift = max(
+            max_batcher_drift, float(np.max(np.abs(np.asarray(got) - expected)))
+        )
+        if max_batcher_drift > 1e-12:
+            raise AssertionError(f"{name} drifted {max_batcher_drift:.2e} from the fresh engine")
+
     with ShardedEngine(pipeline, num_shards=2, cache_size=1024) as sharded:
         with MicroBatcher(sharded, max_delay_ms=2.0, overflow="block") as batcher:
             with WorkerPool(pipeline, num_workers=2, cache_size=1024) as pool:
@@ -204,33 +215,39 @@ def run_transport_mutation_parity() -> dict:
                     "batcher": batcher,
                     "workers": pool,
                 }
+                # The fifth transport: a batcher over the worker pool, driven
+                # so its flushes overlap (two in flight, invalidations as
+                # barriers) — every future of a step is issued first.
+                pool_batcher = MicroBatcher(pool, max_delay_ms=0.0, max_batch=8)
                 profiles = dict(base_profiles)
-                for step in range(3):
-                    mutated = [int(u) for u in rng.choice(uids, size=4, replace=False)]
-                    for uid in mutated:
-                        profiles[uid] = mutate(profiles[uid], step)
-                    current = [profiles[uid] for uid in uids]
-                    pairs = [
-                        Pair(current[i], current[(i + 1 + step) % len(current)])
-                        for i in range(len(current))
-                    ]
-                    expected = fresh.predict_proba(pairs)
-                    for name, transport in transports.items():
-                        transport.invalidate(mutated)
-                        got = transport.predict_proba(pairs)
-                        if name == "batcher":
-                            max_batcher_drift = max(
-                                max_batcher_drift,
-                                float(np.max(np.abs(np.asarray(got) - expected))),
-                            )
-                            if max_batcher_drift > 1e-12:
+                with pool_batcher:
+                    for step in range(3):
+                        mutated = [int(u) for u in rng.choice(uids, size=4, replace=False)]
+                        for uid in mutated:
+                            profiles[uid] = mutate(profiles[uid], step)
+                        current = [profiles[uid] for uid in uids]
+                        pairs = [
+                            Pair(current[i], current[(i + 1 + step) % len(current)])
+                            for i in range(len(current))
+                        ]
+                        expected = fresh.predict_proba(pairs)
+                        for name, transport in transports.items():
+                            transport.invalidate(mutated)
+                            got = transport.predict_proba(pairs)
+                            if name == "batcher":
+                                check_batcher(name, got, expected)
+                            elif not np.array_equal(np.asarray(got), expected):
                                 raise AssertionError(
-                                    f"batcher drifted {max_batcher_drift:.2e} from the fresh engine"
+                                    f"{name} diverged from the fresh engine after mutations"
                                 )
-                        elif not np.array_equal(np.asarray(got), expected):
-                            raise AssertionError(
-                                f"{name} diverged from the fresh engine after mutations"
-                            )
+                        dropped = pool_batcher.submit_invalidate(mutated)
+                        scores = [
+                            pool_batcher.submit_score(pairs[start : start + 3])
+                            for start in range(0, len(pairs), 3)
+                        ]
+                        dropped.result(timeout=120)
+                        got = np.concatenate([future.result(timeout=120) for future in scores])
+                        check_batcher("batcher over workers", got, expected)
     return {"steps": 3, "users": len(uids), "batcher_drift": max_batcher_drift}
 
 
@@ -260,7 +277,8 @@ def run(smoke: bool = False) -> str:
     if smoke:
         assert parity is not None
         lines.append(
-            "smoke run: four-transport mutate-then-score parity checked "
+            "smoke run: mutate-then-score parity checked over the four transports "
+            "and a batcher over workers with overlapping flushes "
             f"(engine/sharded/workers exact, batcher drift {parity['batcher_drift']:.1e} "
             "<= 1e-12); speedup target not enforced"
         )

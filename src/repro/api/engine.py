@@ -29,13 +29,13 @@ from __future__ import annotations
 import dataclasses
 import os
 import threading
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.api.core import CallCacheStats, JudgementCore
 from repro.api.messages import JudgeRequest, JudgeResponse
-from repro.core.protocols import featurizer_dim, profile_key
+from repro.core.protocols import ProfileKey, featurizer_dim, profile_key
 from repro.data.records import Pair, Profile
 from repro.errors import ConfigurationError
 from repro.obs import STAGE_FEATURIZE, get_tracer
@@ -158,11 +158,22 @@ class ColocationEngine:
         return self._core.feature_space
 
     # ----------------------------------------------------------- feature cache
-    def _resolve_features(self, profiles: list[Profile]) -> tuple[np.ndarray, "CallCacheStats"]:
-        """Feature rows through the store plus this call's own cache statistics.
+    def resolve_keyed(
+        self,
+        keys: Sequence[ProfileKey],
+        build: Callable[[list[int]], list[Profile]],
+    ) -> tuple[np.ndarray, "CallCacheStats"]:
+        """Feature rows for ``keys`` through the store, plus this call's own
+        cache statistics — the one resolve entry of every transport.
 
-        Duplicate profiles within one call are deduplicated before touching
-        the featurizer, so each distinct profile is featurized exactly once
+        ``build(positions)`` returns the profiles at those key positions; it
+        runs once, for the store's misses only, so a caller holding keys
+        without profiles (a worker's columnar batch) builds just what it
+        featurizes.  :meth:`_resolve_features` is the call over profiles in
+        hand.
+
+        Duplicate keys within one call are deduplicated before touching the
+        featurizer, so each distinct profile is featurized exactly once
         even with a disabled cache.  The stats are local to the call (its
         hits, misses, featurized rows and the positions of those misses), so
         concurrent callers never leak into each other's accounting.
@@ -179,13 +190,14 @@ class ColocationEngine:
         """
 
         def featurize(positions: list[int]) -> np.ndarray:
+            profiles = build(positions)
             with get_tracer().stage(STAGE_FEATURIZE):
-                rows = self.judge.featurize_profiles([profiles[i] for i in positions])
+                rows = self.judge.featurize_profiles(profiles)
             with self._lock:
                 self._featurized += len(positions)
             return rows  # views of one batch: the hot tier copies them on insert
 
-        rows, missed, hits = resolve_rows(self.store, [profile_key(p) for p in profiles], featurize)
+        rows, missed, hits = resolve_rows(self.store, keys, featurize)
         with self._lock:
             call_invalidated = self._pending_invalidated
             self._pending_invalidated = 0
@@ -196,6 +208,10 @@ class ColocationEngine:
             invalidated=call_invalidated,
             missed=missed,
         )
+
+    def _resolve_features(self, profiles: list[Profile]) -> tuple[np.ndarray, "CallCacheStats"]:
+        """:meth:`resolve_keyed` over profiles in hand (the core's ``gather``)."""
+        return self.resolve_keyed(*_keyed(profiles))
 
     # ------------------------------------------------------------ invalidation
     def invalidate(self, uids: Iterable[int]) -> int:
@@ -231,10 +247,15 @@ class ColocationEngine:
         The count covers this call only — concurrent callers featurizing at
         the same time do not inflate it.
         """
-        if not profiles or not self._feature_space:
+        return self.warm_keyed(*_keyed(profiles))
+
+    def warm_keyed(
+        self, keys: Sequence[ProfileKey], build: Callable[[list[int]], list[Profile]]
+    ) -> int:
+        """:meth:`warm` over keys plus a builder, as :meth:`resolve_keyed`."""
+        if not keys or not self._feature_space:
             return 0
-        _, stats = self._resolve_features(profiles)
-        return stats.featurized
+        return self.resolve_keyed(keys, build)[1].featurized
 
     def cache_info(self) -> EngineCacheInfo:
         """The store's statistics plus the rows this engine featurized."""
@@ -342,3 +363,10 @@ class ColocationEngine:
             f"ColocationEngine(judge={type(self.judge).__name__}, "
             f"cache={info.size}/{info.maxsize}, hit_rate={info.hit_rate:.2f})"
         )
+
+
+def _keyed(
+    profiles: list[Profile],
+) -> tuple[list[ProfileKey], Callable[[list[int]], list[Profile]]]:
+    """The cache keys of ``profiles`` and a builder picking them by position."""
+    return [profile_key(p) for p in profiles], lambda positions: [profiles[i] for i in positions]

@@ -4,11 +4,19 @@ Every service today calls the engine synchronously with caller-sized batches:
 a notification window scores 4 pairs, then another scores 6, and each call
 pays the fixed featurize/score invocation overhead that the PR 2–3 batch
 kernels amortise only across *one* call.  The micro-batcher turns concurrency
-into batch size: requests enqueue, a single flusher thread drains the queue
-every ``max_delay_ms`` (or as soon as ``max_batch`` work items accumulate)
-and issues **one** featurize+score call for everything in the flush — so a
+into batch size: requests enqueue, a flusher drains the queue every
+``max_delay_ms`` (or as soon as ``max_batch`` work items accumulate) and
+issues **one** featurize+score call for everything in the flush — so a
 skewed user mix is deduplicated across requests by the engine's
 within-call dedup, and every profile featurizes in a large batch.
+
+Two flusher threads keep at most two flushes in flight (a fixed depth, not
+an option): while flush *k* waits on the engine — a worker process
+featurizing, say — flush *k+1* collects, routes and serializes its requests
+and queues its wire call behind *k*'s, and flush *k*'s scoring and
+completions then overlap *k+1*'s featurization.  Idle flushers wait on
+their own condition and a submit notifies one of them, so an idle batcher
+wakes exactly one thread per submit.
 
 Backpressure is explicit: the queue is bounded at ``max_queue`` requests and
 an overflowing submit either raises :class:`repro.errors.EngineOverloadError`
@@ -29,18 +37,31 @@ one.  Cache
 invalidations (``submit_invalidate`` / ``invalidate_stale``) queue like any
 other request but are processed *first* in their flush, so a profile
 mutation always lands before the requests flushed alongside it gather rows.
+A flush holding an invalidation is a **barrier**: it starts only when no
+flush is in flight, and no flush starts until it finishes, so an
+invalidation wins over every request queued with or after it even with two
+flushes in flight.
+
+Per-request cache attribution stays per flush (a row the flush's gather
+featurized is a miss for its first request and a hit for later ones).  Two
+in-flight flushes can share a profile: thread shards and worker shards run
+their gathers one at a time per owner, so the second flush finds the row
+the first one featurized and reports a hit.  Over a bare
+:class:`repro.api.ColocationEngine` both gathers may miss and featurize it,
+and both count it — the engine's documented rule for concurrent callers.
 
 Results come back as :class:`concurrent.futures.Future`; the ``score`` /
 ``probability_matrix`` / ``warm`` / ``serve`` convenience wrappers submit
 and wait.
 
-The flusher thread is deliberately hard to kill: metrics hooks are guarded
-(a user-supplied ``metrics`` object raising in ``observe_flush`` /
-``observe_latency`` cannot take it down), an exception escaping a flush
-fails that flush's futures and keeps the loop alive, and if the thread dies
+The flusher threads are deliberately hard to kill: metrics hooks are
+guarded (a user-supplied ``metrics`` object raising in ``observe_flush`` /
+``observe_latency`` cannot take one down), an exception escaping a flush
+fails that flush's futures and keeps the loop alive, and if a thread dies
 anyway (a ``BaseException``), every queued future fails with
 :class:`EngineOverloadError` and subsequent submits raise instead of
-waiting forever on a flush that will never come.
+waiting forever on a flush that will never come; the other flusher
+finishes the flush it holds and exits.
 """
 
 from __future__ import annotations
@@ -59,6 +80,11 @@ from repro.cluster.metrics import ClusterMetrics
 from repro.data.records import Pair, Profile
 from repro.errors import ConfigurationError, EngineOverloadError
 from repro.obs import STAGE_QUEUE_WAIT, get_tracer
+
+#: Flushes in flight at once.  Two is double buffering: one flush waits on
+#: the engine while the other collects, routes and scores.  Fixed — deeper
+#: pipelines only queue more calls behind the same engine.
+_FLUSH_DEPTH = 2
 
 
 @dataclass
@@ -131,18 +157,28 @@ class MicroBatcher:
         self.overflow = overflow
         self._time = time_fn if time_fn is not None else time.perf_counter
         self.metrics = metrics if metrics is not None else ClusterMetrics(engine)
-        self._cond = threading.Condition()
+        # One lock, two wait queues: blocked submitters wait on _cond, idle
+        # flushers on _wake — so a submit wakes one flusher, not everyone.
+        lock = threading.RLock()
+        self._cond = threading.Condition(lock)
+        self._wake = threading.Condition(lock)
         self._queue: deque[_Pending] = deque()  # guarded-by: _cond
         self._closed = False  # guarded-by: _cond
-        #: The BaseException that killed the flusher, if any.  Once set,
+        #: The BaseException that killed a flusher, if any.  Once set,
         #: every queued future has been failed and every subsequent submit
         #: raises instead of waiting on a dead thread.
         self._death: BaseException | None = None  # guarded-by: _cond
         self._metrics_errors = 0  # guarded-by: _cond
-        self._flusher = threading.Thread(
-            target=self._run, name="repro-microbatcher", daemon=True
-        )
-        self._flusher.start()
+        #: Flushes picked up and not yet finished (at most _FLUSH_DEPTH).
+        self._in_flight = 0  # guarded-by: _cond
+        #: A flush holding an invalidation is in flight: nothing else starts.
+        self._barrier = False  # guarded-by: _cond
+        self._flushers = [
+            threading.Thread(target=self._run, name=f"repro-microbatcher-{index}", daemon=True)
+            for index in range(_FLUSH_DEPTH)
+        ]
+        for flusher in self._flushers:
+            flusher.start()
 
     # ------------------------------------------------------------- submission
     @property
@@ -198,7 +234,7 @@ class MicroBatcher:
                 self._cond.wait()
                 self._raise_if_unavailable()
             self._queue.append(pending)
-            self._cond.notify_all()
+            self._wake.notify()  # one idle flusher, if any
         return pending.future
 
     def submit_score(self, pairs: list[Pair]) -> Future:
@@ -322,20 +358,24 @@ class MicroBatcher:
 
     # -------------------------------------------------------------- lifecycle
     def close(self, drain: bool = True) -> None:
-        """Stop the flusher.  ``drain=True`` serves queued requests first;
-        ``drain=False`` fails them with :class:`EngineOverloadError`."""
+        """Stop the flushers.  ``drain=True`` serves queued requests first;
+        ``drain=False`` fails them with :class:`EngineOverloadError`.  Either
+        way the flushes already in flight finish and answer their callers
+        before this returns."""
         with self._cond:
-            if self._closed:
-                return
-            self._closed = True
-            if not drain:
-                while self._queue:
-                    pending = self._queue.popleft()
-                    pending.future.set_exception(
-                        EngineOverloadError("the MicroBatcher was closed")
-                    )
-            self._cond.notify_all()
-        self._flusher.join()
+            if not self._closed:
+                self._closed = True
+                if not drain:
+                    while self._queue:
+                        pending = self._queue.popleft()
+                        pending.future.set_exception(
+                            EngineOverloadError("the MicroBatcher was closed")
+                        )
+                self._notify_everyone()
+        current = threading.current_thread()
+        for flusher in self._flushers:
+            if flusher is not current:  # a future's callback may close from a flush
+                flusher.join()
 
     def __enter__(self) -> "MicroBatcher":
         return self
@@ -345,12 +385,18 @@ class MicroBatcher:
         return False
 
     # ---------------------------------------------------------------- flusher
+    def _notify_everyone(self) -> None:  # holds: _cond
+        """Wake submitters and both flushers (close and death)."""
+        self._cond.notify_all()
+        self._wake.notify_all()
+
     def _run(self) -> None:
         try:
             while True:
-                batch = self._next_batch()
-                if batch is None:
+                taken = self._next_batch()
+                if taken is None:
                     return
+                batch, barrier = taken
                 try:
                     self._flush(batch)
                 except Exception as exc:
@@ -360,6 +406,16 @@ class MicroBatcher:
                     for pending in batch:
                         if not pending.future.done():
                             pending.future.set_exception(exc)
+                finally:
+                    with self._cond:
+                        self._in_flight -= 1
+                        if barrier:
+                            self._barrier = False
+                        if self._queue:
+                            # A flush held back by this one may start.  An
+                            # empty queue has no such flush; a wake-up now
+                            # would only cost the callers this flush answered.
+                            self._wake.notify()
         except BaseException as exc:
             # The flusher is dying (KeyboardInterrupt, MemoryError, ...):
             # leaving the queue silently unserved would hang every waiter.
@@ -378,33 +434,54 @@ class MicroBatcher:
                 )
                 error.__cause__ = cause
                 pending.future.set_exception(error)
-            self._cond.notify_all()  # wake blocked submitters so they raise
+            self._notify_everyone()  # blocked submitters raise, the other flusher exits
 
-    def _next_batch(self) -> list[_Pending] | None:
-        """Block until a flush is due; drain up to ``max_batch`` work items."""
+    def _next_batch(self) -> tuple[list[_Pending], bool] | None:
+        """Block until a flush is due and allowed; take up to ``max_batch``
+        work items.
+
+        Returns the batch and whether it is a barrier (it holds an
+        invalidation), or ``None`` once the batcher is closed and drained.
+        """
         with self._cond:
-            while not self._queue and not self._closed:
-                self._cond.wait()
-            if not self._queue:
-                return None  # closed and drained
-            deadline = self._queue[0].enqueued + self.max_delay
-            while (
-                not self._closed
-                and sum(p.weight for p in self._queue) < self.max_batch
-            ):
-                remaining = deadline - self._time()
-                if remaining <= 0:
-                    break
-                self._cond.wait(remaining)
-                if not self._queue:  # drained by a non-drain close
-                    return None if self._closed else []
-            batch: list[_Pending] = []
-            weight = 0
-            while self._queue and (not batch or weight < self.max_batch):
-                batch.append(self._queue.popleft())
-                weight += batch[-1].weight
-            self._cond.notify_all()  # wake blocked submitters
-            return batch
+            while True:
+                while not self._queue and not self._closed:
+                    self._wake.wait()
+                if not self._queue:
+                    return None  # closed and drained
+                deadline = self._queue[0].enqueued + self.max_delay
+                while (
+                    self._queue
+                    and not self._closed
+                    and sum(p.weight for p in self._queue) < self.max_batch
+                ):
+                    remaining = deadline - self._time()
+                    if remaining <= 0:
+                        break
+                    self._wake.wait(remaining)
+                if not self._queue:
+                    continue  # the other flusher took it, or a close/death drained it
+                size = weight = 0
+                barrier = False
+                for pending in self._queue:
+                    if size and weight >= self.max_batch:
+                        break
+                    size += 1
+                    weight += pending.weight
+                    barrier = barrier or pending.kind == "invalidate"
+                if self._barrier or (barrier and self._in_flight):
+                    # A barrier waits for every flush in flight, and nothing
+                    # starts while one runs: invalidations win over later
+                    # requests.  The finishing flush notifies.
+                    self._wake.wait()
+                    continue
+                batch = [self._queue.popleft() for _ in range(size)]
+                self._in_flight += 1
+                self._barrier = barrier
+                if self._queue:
+                    self._wake.notify()  # the rest is the other flusher's
+                self._cond.notify_all()  # wake blocked submitters: the queue has room
+                return batch, barrier
 
     def _flush(self, batch: list[_Pending]) -> None:
         if not batch:

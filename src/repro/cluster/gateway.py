@@ -150,7 +150,7 @@ class _WorkerShard:
         #: export() and import_rows(), purged by invalidation.
         self.retained: dict[ProfileKey, np.ndarray] | None = None
         self._counts_lock = threading.Lock()
-        #: The live worker's last ``cache_info`` report.
+        #: The live worker's newest cache report (``cache_info`` or gather).
         self._last = _NO_CACHE  # guarded-by: _counts_lock
         #: The counters of every dead worker in this slot.
         self._carried = _NO_CACHE  # guarded-by: _counts_lock
@@ -158,8 +158,25 @@ class _WorkerShard:
     def submit(self, op: str, body: dict, arrays=(), frame: int = wire.FRAME_CALL) -> Future:
         handle = self.pool._ensure_worker(self.index)
         return asyncio.run_coroutine_threadsafe(
-            self.pool._request(handle, op, body, arrays, frame=frame), self.pool._loop
+            self._request(handle, op, body, arrays, frame), self.pool._loop
         )
+
+    async def _request(self, handle: _WorkerHandle, op: str, body: dict, arrays, frame: int):
+        """One wire call, keeping the worker's latest cache report.
+
+        ``cache_info`` answers with the report and every ``gather`` RESULT
+        carries one.  Both are stored here, on the gateway loop, as the
+        reply is read: replies of one connection arrive in call order and
+        before any respawn of that worker, so :meth:`carry_counts` always
+        folds the dead worker's newest counters.
+        """
+        reply = await self.pool._request(handle, op, body, arrays, frame=frame)
+        answer = reply[0]
+        report = answer.get("cache") if op == "gather" else answer if op == "cache_info" else None
+        if report is not None:
+            with self._counts_lock:
+                self._last = EngineCacheInfo(**report)
+        return reply
 
     def call(self, op: str, body: dict, arrays=(), frame: int = wire.FRAME_CALL):
         return self.submit(op, body, arrays, frame).result(self.pool.call_timeout)
@@ -177,7 +194,7 @@ class _WorkerShard:
     def cache_info(self) -> EngineCacheInfo:
         """This worker slot's cache statistics, counted across respawns.
 
-        The live worker's report plus what its dead predecessors last
+        The live worker's newest report plus what its dead predecessors last
         reported; a worker that cannot answer adds its own last counters and
         no rows.  This is the surface ``ClusterMetrics`` reads, and the
         moment after an incident is exactly when the report must still
@@ -185,18 +202,15 @@ class _WorkerShard:
         a stalled worker would block the report on the incident it is
         reporting.
         """
-        live = None
+        answered = False
         if self.pool._healthy[self.index]:
             try:
-                body, _ = self.call("cache_info", {})
-                live = EngineCacheInfo(**body)
+                self.call("cache_info", {})
+                answered = True
             except (WorkerCrashError, ConfigurationError):
                 pass
         with self._counts_lock:
-            if live is None:
-                live = _counters(self._last)
-            else:
-                self._last = live
+            live = self._last if answered else _counters(self._last)
             return EngineCacheInfo.merge([self._carried, live])
 
     def carry_counts(self) -> None:

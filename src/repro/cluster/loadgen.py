@@ -199,9 +199,10 @@ def run_cluster(
 
     Requests are submitted as fast as the bounded queue admits them
     (``overflow="block"`` backpressure), so the batcher coalesces whatever
-    accumulates while each flush is in flight — the steady state of a busy
-    service.  The tracing scope encloses the batcher's whole lifetime so
-    the flusher thread's ``queue_wait`` records land in the run's registry.
+    accumulates while its flushes (at most two at a time) are in flight —
+    the steady state of a busy service.  The tracing scope encloses the
+    batcher's whole lifetime so the flusher threads' ``queue_wait`` records
+    land in the run's registry.
     """
     stages = None
     with tracing() if trace else nullcontext() as tracer:
@@ -218,9 +219,8 @@ def run_cluster(
             elapsed = time.perf_counter() - started
         if trace:
             stages = format_stage_table(tracer.registry)
-    # Snapshot after close(): the flusher records a flush's metrics *after*
-    # resolving its futures, so a snapshot taken the moment the last result
-    # lands can miss the final flush; close() joins the flusher first.
+    # Snapshot after close(), which joins the flushers: every flush has
+    # recorded its metrics by then.
     snapshot = batcher.metrics.snapshot()
     return (
         ServingRun(

@@ -41,8 +41,11 @@ Profiles travel columnar.  A ``gather`` or ``warm`` CALL body carries
 
 Both halves are exact, so a decoded profile equals the one sent and the
 worker's feature rows are bit-identical to a local featurize.  The decoder
-(:func:`decode_profiles`) validates the batch's shape before building a
-single profile; a malformed batch raises :class:`WireProtocolError`.
+(:func:`decode_keyed_profiles`) validates the whole batch before anything
+is looked up or built — a malformed batch raises
+:class:`WireProtocolError` — then hands back each row's profile key, built
+from the scalar row alone, and a builder for the rows a worker's store
+lacks; :func:`decode_profiles` builds them all.
 
 Errors are frames too: :func:`encode_error` captures a worker-side exception
 as ``{"type", "message"}`` and :func:`decode_error` maps it back — known
@@ -61,12 +64,12 @@ from __future__ import annotations
 import json
 import struct
 from itertools import starmap
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro import errors as errors_mod
-from repro.core.protocols import ProfileKey, key_revision
+from repro.core.protocols import UNREVISIONED, ProfileKey, key_revision
 from repro.data.records import Profile, Tweet, Visit
 from repro.errors import ReproError, RemoteJudgeError, WireProtocolError
 
@@ -259,10 +262,19 @@ def _optional(convert, value):
     return None if value is None else convert(value)
 
 
-def decode_profiles(rows: object, arrays: Sequence[np.ndarray]) -> list[Profile]:
-    """Inverse of :func:`encode_profiles`, validating the whole batch.
+def decode_keyed_profiles(
+    rows: object, arrays: Sequence[np.ndarray]
+) -> tuple[list[ProfileKey], Callable[[Iterable[int]], list[Profile]]]:
+    """Validate a whole columnar batch; return its keys and a profile builder.
 
-    Raises :class:`WireProtocolError` unless there is exactly one 2-D
+    The keys are each row's :func:`repro.core.profile_key`, built from the
+    scalar row alone (``uid``, ``ts``, ``content``, ``n_visits``,
+    ``revision``), so a store lookup needs no :class:`Visit` at all.
+    ``build(positions)`` returns the exact profiles at those row positions,
+    in that order; a worker builds only its store misses.
+
+    Every row is validated before this returns, whichever rows are built
+    later: :class:`WireProtocolError` unless there is exactly one 2-D
     float64 array with 3 columns, ``rows`` is a list of 10-element lists,
     every ``n_visits`` is a non-negative int and the counts sum to the
     array's length — or when a scalar does not convert to its field.
@@ -289,33 +301,64 @@ def decode_profiles(rows: object, arrays: Sequence[np.ndarray]) -> list[Profile]
         raise WireProtocolError(
             f"profile rows count {total} visits but the array holds {len(visits)}"
         )
-    flat = visits.tolist()
-    profiles = []
+    scalars = []
+    keys = []
     start = 0
     for uid, tweet_uid, ts, content, lat, lon, true_pid, pid, revision, count in rows:
         if not isinstance(content, str):
             raise WireProtocolError(f"tweet content must be a string, got {content!r}")
         try:
-            tweet = Tweet(
-                uid=int(tweet_uid),
-                ts=float(ts),
-                content=content,
-                lat=_optional(float, lat),
-                lon=_optional(float, lon),
-                true_pid=_optional(int, true_pid),
-            )
-            profile = Profile(
-                uid=int(uid),
-                tweet=tweet,
-                visit_history=tuple(starmap(Visit, flat[start : start + count])),
-                pid=_optional(int, pid),
-                revision=_optional(int, revision),
+            row = (
+                int(uid),
+                int(tweet_uid),
+                float(ts),
+                content,
+                _optional(float, lat),
+                _optional(float, lon),
+                _optional(int, true_pid),
+                _optional(int, pid),
+                _optional(int, revision),
+                start,
+                start + count,
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise WireProtocolError(f"invalid profile row: {exc}") from exc
-        profiles.append(profile)
+        scalars.append(row)
+        keys.append(
+            (row[0], row[2], content, count, UNREVISIONED if row[8] is None else row[8])
+        )
         start += count
-    return profiles
+
+    def build(positions: Iterable[int]) -> list[Profile]:
+        profiles = []
+        for position in positions:
+            uid, tweet_uid, ts, content, lat, lon, true_pid, pid, revision, first, stop = (
+                scalars[position]
+            )
+            profiles.append(
+                Profile(
+                    uid=uid,
+                    tweet=Tweet(
+                        uid=tweet_uid, ts=ts, content=content, lat=lat, lon=lon, true_pid=true_pid
+                    ),
+                    visit_history=tuple(starmap(Visit, visits[first:stop].tolist())),
+                    pid=pid,
+                    revision=revision,
+                )
+            )
+        return profiles
+
+    return keys, build
+
+
+def decode_profiles(rows: object, arrays: Sequence[np.ndarray]) -> list[Profile]:
+    """Inverse of :func:`encode_profiles`: every profile of the batch.
+
+    The build-everything case of :func:`decode_keyed_profiles`, with the
+    same validation and the same typed errors.
+    """
+    keys, build = decode_keyed_profiles(rows, arrays)
+    return build(range(len(keys)))
 
 
 # ---------------------------------------------------------------- typed errors

@@ -13,10 +13,16 @@ back to the gateway, and serves :mod:`repro.cluster.wire` frames in a loop.
 A worker answers the operations the gateway's wire shard sends and nothing
 else: ``gather`` (the hot path: feature rows as raw numpy payloads plus the
 call's own cache traffic, including the indices of the profiles it
-featurized), ``warm``, ``cache_info``, ``stats`` (its metrics registry), and
-``snapshot`` / ``restore`` so a respawned worker warm-starts from its
-predecessor's cache export.  Decisions never happen here: the gateway scores
-and decides through the shared :class:`repro.api.JudgementCore`.  A
+featurized, and the worker's cumulative cache counters), ``warm``,
+``cache_info``, ``stats`` (its metrics registry), and ``snapshot`` /
+``restore`` so a respawned worker warm-starts from its predecessor's cache
+export.  A ``gather`` or ``warm`` validates its whole columnar batch first,
+looks every profile up by a key built from its scalar row
+(:func:`repro.cluster.wire.decode_keyed_profiles`), and builds
+``Visit``/``Profile`` objects only for the store's misses, which it then
+featurizes — store hits never decode their visits.  Decisions never happen
+here: the gateway scores and decides through the shared
+:class:`repro.api.JudgementCore`.  A
 dedicated ``INVALIDATE`` frame drops cached rows by uid (or sweeps superseded
 revisions) without going through the CALL path, so the gateway can propagate
 profile mutations to every worker.
@@ -102,9 +108,9 @@ def load_judge_bundle(directory: str | pathlib.Path):
 # ----------------------------------------------------------- frame dispatching
 
 
-def _profiles_from(body: dict, arrays: list[np.ndarray]) -> list:
-    """The columnar profile batch of a ``gather``/``warm`` CALL."""
-    return wire.decode_profiles(body.get("profiles"), arrays)
+def _keyed_profiles(body: dict, arrays: list[np.ndarray]):
+    """The validated keys and miss builder of a ``gather``/``warm`` CALL's batch."""
+    return wire.decode_keyed_profiles(body.get("profiles"), arrays)
 
 
 def handle_call(engine, payload: bytes) -> bytes:
@@ -128,12 +134,12 @@ def handle_call(engine, payload: bytes) -> bytes:
             # the "stats" op exports back to the gateway.
             trace = tracer.start_trace(trace_id=body.get("trace"))
             with tracer.activate(trace), tracer.stage(STAGE_GATHER):
-                rows, stats = engine._resolve_features(_profiles_from(body, arrays))
+                rows, stats = engine.resolve_keyed(*_keyed_profiles(body, arrays))
             if body.get("trace"):
                 reply["trace"] = trace.trace_id
                 reply["spans"] = trace.stage_list()
         else:
-            rows, stats = engine._resolve_features(_profiles_from(body, arrays))
+            rows, stats = engine.resolve_keyed(*_keyed_profiles(body, arrays))
         return wire.encode_payload(
             {
                 **reply,
@@ -142,11 +148,15 @@ def handle_call(engine, payload: bytes) -> bytes:
                 "featurized": stats.featurized,
                 "invalidated": stats.invalidated,
                 "missed": list(stats.missed),
+                # This worker's cumulative counters, so the gateway can carry
+                # them over a respawn without a cache_info call of its own.
+                "cache": vars(engine.cache_info()),
             },
             [rows],
         )
     if op == "warm":
-        return wire.encode_payload({"featurized": engine.warm(_profiles_from(body, arrays))})
+        featurized = engine.warm_keyed(*_keyed_profiles(body, arrays))
+        return wire.encode_payload({"featurized": featurized})
     if op == "cache_info":
         return wire.encode_payload(dataclasses.asdict(engine.cache_info()))
     if op == "stats":

@@ -8,6 +8,7 @@ import pytest
 
 from repro.api import ColocationEngine, JudgeRequest
 from repro.cluster import MicroBatcher, ShardedEngine
+from repro.data.records import Pair
 from repro.errors import ConfigurationError, EngineOverloadError
 
 
@@ -424,25 +425,47 @@ class TestFlusherResilience:
             batcher.close()
 
     def test_dead_flusher_fails_pending_and_subsequent_submits(self):
-        """If the flusher does die, queued futures fail loudly and new
+        """If a flusher does die, queued futures fail loudly and new
         submissions raise instead of waiting on a flush that never comes."""
-        judge = SlowJudge()
+
+        class TwoGateJudge(SlowJudge):
+            """Scores wait on ``release``, matrices on ``hold``."""
+
+            def __init__(self):
+                super().__init__()
+                self.hold = threading.Event()
+
+            def probability_matrix(self, profiles):
+                self.hold.wait()
+                return super().probability_matrix(profiles)
+
+        judge = TwoGateJudge()
         judge.release.clear()
         pairs = [_stub_pair()]
         batcher = MicroBatcher(
             judge, max_delay_ms=0.0, max_batch=1, metrics=FatalMetrics()
         )
-        first = batcher.submit_score(pairs)  # the flusher takes it and blocks
-        deadline = time.time() + 5.0
-        while batcher.queue_depth and time.time() < deadline:
-            time.sleep(0.001)
-        second = batcher.submit_score(pairs)  # queued behind the first
-        judge.release.set()  # first flush completes; its metrics kill the flusher
-        batcher._flusher.join(timeout=10)
-        assert not batcher._flusher.is_alive()
-        assert first.result(timeout=10).shape == (1,)
+
+        def wait_for_pickup():
+            deadline = time.time() + 5.0
+            while batcher.queue_depth and time.time() < deadline:
+                time.sleep(0.001)
+
+        first = batcher.submit_score(pairs)  # one flusher takes it and blocks
+        wait_for_pickup()
+        # The other flusher takes this one and blocks: both flush slots held.
+        held = batcher.submit_probability_matrix([pairs[0].left])
+        wait_for_pickup()
+        second = batcher.submit_score(pairs)  # queued behind both
+        judge.release.set()  # first flush completes; its metrics kill its flusher
         with pytest.raises(EngineOverloadError, match="died"):
             second.result(timeout=10)
+        judge.hold.set()  # the surviving flusher finishes its flush, then exits
+        for flusher in batcher._flushers:
+            flusher.join(timeout=10)
+        assert not any(flusher.is_alive() for flusher in batcher._flushers)
+        assert first.result(timeout=10).shape == (1,)
+        assert held.result(timeout=10).shape == (1, 1)
         with pytest.raises(EngineOverloadError, match="died"):
             batcher.submit_score(pairs)
         batcher.close()  # idempotent on a dead batcher
@@ -456,10 +479,11 @@ class TestLifecycleEdges:
         judge.release.clear()
         pairs = [_stub_pair()]
         batcher = MicroBatcher(judge, max_queue=1, overflow="block", max_delay_ms=0.0)
-        batcher.submit_score(pairs)  # the flusher takes it and blocks
-        deadline = time.time() + 5.0
-        while batcher.queue_depth and time.time() < deadline:
-            time.sleep(0.001)
+        for _ in range(2):  # each flusher takes one and blocks: both slots held
+            batcher.submit_score(pairs)
+            deadline = time.time() + 5.0
+            while batcher.queue_depth and time.time() < deadline:
+                time.sleep(0.001)
         second = batcher.submit_score(pairs)  # fills the queue
         outcome = {}
 
@@ -476,7 +500,7 @@ class TestLifecycleEdges:
         closer.start()
         submitter.join(timeout=10)
         assert not submitter.is_alive()
-        judge.release.set()  # free the flusher so close() can join it
+        judge.release.set()  # free the flushers so close() can join them
         closer.join(timeout=10)
         assert not closer.is_alive()
         if "error" in outcome:
@@ -554,6 +578,59 @@ class TestLifecycleEdges:
         assert batcher.probability_matrix([]).shape == (0, 0)
         assert batcher.warm([]) == 0
         assert batcher.serve(JudgeRequest(pairs=())).probabilities == ()
+
+
+class TestTwoFlushesInFlight:
+    def test_invalidation_during_a_flush_lands_before_later_gathers(self):
+        """An invalidation submitted while a flush is in flight waits for it,
+        and is applied before the gather of any serve submitted after it."""
+        entered = threading.Event()
+        release = threading.Event()
+
+        class GatedFeatureJudge:
+            def predict_proba(self, pairs):
+                return np.zeros(len(pairs))
+
+            def featurize_profiles(self, profiles):
+                entered.set()
+                assert release.wait(10), "the first flush was never released"
+                return np.array([[float(p.uid)] for p in profiles])
+
+            def score_feature_pairs(self, left, right):
+                return np.zeros(len(left))
+
+        class RecordingEngine(ColocationEngine):
+            def __init__(self, judge):
+                super().__init__(judge, cache_size=64)
+                self.events = []
+
+            def resolve_keyed(self, keys, build):
+                self.events.append(("gather", sorted({key[0] for key in keys})))
+                return super().resolve_keyed(keys, build)
+
+            def invalidate(self, uids):
+                self.events.append(("invalidate", list(uids)))
+                return super().invalidate(uids)
+
+        engine = RecordingEngine(GatedFeatureJudge())
+        a, b, c = (_stub_pair(i).left for i in range(3))
+        with MicroBatcher(engine, max_delay_ms=0.0) as batcher:
+            first = batcher.submit_serve(JudgeRequest(pairs=(Pair(a, b),)))
+            assert entered.wait(10)  # the first flush is in its gather
+            dropped = batcher.submit_invalidate([a.uid])
+            later = batcher.submit_serve(JudgeRequest(pairs=(Pair(a, c),)))
+            # A second flusher is free, yet neither request may start yet.
+            assert batcher.queue_depth == 2
+            release.set()
+            assert first.result(timeout=10).cache_misses == 2
+            assert dropped.result(timeout=10) == 1
+            response = later.result(timeout=10)
+        assert engine.events == [
+            ("gather", [a.uid, b.uid]),
+            ("invalidate", [a.uid]),
+            ("gather", [a.uid, c.uid]),
+        ]
+        assert (response.cache_misses, response.cache_invalidated) == (2, 1)
 
 
 class TestInjectedClock:

@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import wire
+from repro.core.protocols import profile_key
 from repro.data.records import Profile, Tweet, Visit
 from repro.errors import (
     ConfigurationError,
@@ -411,6 +412,72 @@ def test_malformed_profile_batch_raises_typed(rows, arrays, match):
         wire.decode_profiles(rows, arrays)
 
 
+# ------------------------------------------------------------ keyed decoding
+
+
+@given(profiles=st.lists(_PROFILES, max_size=6))
+@settings(max_examples=60, deadline=None)
+@example(profiles=[])
+@example(profiles=[_profile(visits=())])
+@example(
+    profiles=[
+        _profile(lat=None, lon=None, pid=None, revision=None, true_pid=None),
+        _profile(uid=2**70, tweet_uid=2**70, content="caf\u00e9 \u6771\u4eac \x00 \U0001f600"),
+    ]
+)
+def test_keys_from_scalar_rows_are_the_decoded_profiles_keys(profiles):
+    rows, visits = wire.encode_profiles(profiles)
+    body, arrays = wire.decode_payload(wire.encode_payload(rows, [visits]))
+    keys, build = wire.decode_keyed_profiles(body, arrays)
+    decoded = wire.decode_profiles(body, arrays)
+    assert keys == [profile_key(profile) for profile in decoded]
+    assert keys == [profile_key(profile) for profile in profiles]
+    # The builder makes exactly the positions asked for, in that order.
+    positions = list(range(len(profiles)))[::-2]
+    assert build(positions) == [profiles[i] for i in positions]
+
+
+class _RowJudge:
+    """A feature-space judge whose row for a profile is its uid."""
+
+    def predict_proba(self, pairs):
+        return np.zeros(len(pairs))
+
+    def featurize_profiles(self, profiles):
+        return np.array([[float(profile.uid)] for profile in profiles])
+
+    def score_feature_pairs(self, left, right):
+        return np.zeros(len(left))
+
+
+def test_malformed_row_after_store_hits_fails_before_any_lookup():
+    """Validation covers the whole batch before the keyed gather looks
+    anything up: a bad row behind resident profiles is a typed error, and
+    the store counts no hit or miss for the rows in front of it."""
+    from repro.api import ColocationEngine
+    from repro.cluster.worker import handle_call
+
+    engine = ColocationEngine(_RowJudge(), cache_size=16)
+    residents = [_profile(uid=1), _profile(uid=2, visits=())]
+    engine.warm(residents)
+    before = engine.cache_info()
+    rows, visits = wire.encode_profiles(residents)
+    bad = list(rows[0])
+    bad[0] = "not-a-uid"
+    payload = wire.encode_payload(
+        {"op": "gather", "profiles": rows + [bad]},
+        [np.concatenate([visits, visits[: bad[-1]]])],
+    )
+    with pytest.raises(WireProtocolError, match="invalid profile row"):
+        handle_call(engine, payload)
+    assert engine.cache_info() == before
+    # The same batch without the bad row is all hits.
+    reply, _ = wire.decode_payload(
+        handle_call(engine, wire.encode_payload({"op": "gather", "profiles": rows}, [visits]))
+    )
+    assert (reply["hits"], reply["misses"]) == (2, 0)
+
+
 _GOOD_KEY = [7, 12.5, "coffee", 3, 2]
 
 
@@ -491,6 +558,46 @@ def test_payload_decoder_fuzz_never_hangs_or_crashes():
             pass  # the only acceptable failure
         else:
             assert all(isinstance(profile, Profile) for profile in profiles)
+
+
+def test_payload_fuzz_through_the_keyed_decoder_fails_typed():
+    """The fuzz seeds and mutations above, decoded through the keyed entry:
+    only :class:`WireProtocolError` may escape, and a batch that decodes
+    builds profiles whose keys are the keys it reported."""
+    rng = np.random.default_rng(20260808)
+    batch_rows, batch_visits = wire.encode_profiles(
+        [_profile(), _profile(uid=2**70, visits=()), _profile(uid=9, lat=None, lon=None)]
+    )
+    seeds = [
+        wire.encode_payload(batch_rows, [batch_visits]),
+        wire.encode_payload({"op": "gather", "profiles": [1, 2, 3]}),
+        wire.encode_payload(None, [np.arange(32, dtype=np.float64).reshape(4, 8)]),
+        wire.encode_payload({"k": "v"}, [np.arange(3, dtype=np.int32), np.zeros(2)]),
+        wire.encode_error(EngineOverloadError("full")),
+    ]
+    keys, _ = wire.decode_keyed_profiles(*wire.decode_payload(seeds[0]))
+    assert len(keys) == 3  # the unmutated batch seed decodes
+    for trial in range(300):
+        base = bytearray(seeds[trial % len(seeds)])
+        mutation = trial % 5
+        if mutation == 0:  # truncate
+            base = base[: int(rng.integers(0, len(base)))]
+        elif mutation == 1:  # flip random bytes
+            for _ in range(int(rng.integers(1, 6))):
+                base[int(rng.integers(len(base)))] = int(rng.integers(256))
+        elif mutation == 2:  # append junk
+            base.extend(rng.integers(0, 256, size=int(rng.integers(1, 40))).astype(np.uint8).tobytes())
+        elif mutation == 3:  # scramble the JSON length prefix
+            base[0:4] = struct.pack(">I", int(rng.integers(0, 2**31)))
+        else:  # random garbage of a plausible size
+            base = bytearray(rng.integers(0, 256, size=int(rng.integers(0, 200))).astype(np.uint8).tobytes())
+        try:
+            body, arrays = wire.decode_payload(bytes(base))
+            keys, build = wire.decode_keyed_profiles(body, arrays)
+        except WireProtocolError:
+            continue  # the only acceptable failure
+        profiles = build(range(len(keys)))
+        assert [profile_key(profile) for profile in profiles] == keys
 
 
 def test_frame_stream_fuzz_fails_typed_and_promptly():

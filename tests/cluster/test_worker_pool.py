@@ -32,6 +32,7 @@ import pytest
 
 from repro.api import ColocationEngine, JudgeRequest
 from repro.cluster import ClusterMetrics, MicroBatcher, WorkerPool
+from repro.core.protocols import profile_key
 from repro.data.records import Pair
 from repro.errors import ConfigurationError, WireProtocolError, WorkerCrashError
 
@@ -313,6 +314,31 @@ def test_respawned_worker_carries_its_cache_counts(fitted_pipeline, serving_pair
         assert reports[-1].featurized == 3 * reports[0].featurized > 0
         assert reports[-1].hits >= 2 * reports[0].hits > 0
         assert pool.metrics.snapshot().worker_respawns == 2
+
+
+def test_respawn_carries_gathers_since_the_last_report(fitted_pipeline, serving_pairs):
+    """Every gather RESULT carries the worker's cumulative counters, so a
+    worker killed with no cache_info call since its gathers still hands
+    them to its slot."""
+    with WorkerPool(fitted_pipeline, num_workers=2, cache_size=128, respawn=True) as pool:
+        victim = pool.worker_of(serving_pairs[0].left)
+        owned = {
+            profile_key(profile)
+            for pair in serving_pairs
+            for profile in (pair.left, pair.right)
+            if pool.worker_of(profile) == victim
+        }
+        for _ in range(3):  # the first gather featurizes the slot's rows, the rest hit
+            pool.predict_proba(serving_pairs)
+        os.kill(pool.worker_pids()[victim], signal.SIGKILL)
+        _wait_until(lambda: not pool._handles[victim].process.is_alive())
+        with pytest.raises(WorkerCrashError):
+            pool.ping(victim)  # the death is noticed here
+        assert pool.ping(victim)  # respawned; no cache_info call came in between
+        report = pool.worker_cache_infos()[victim]
+        assert report.featurized == report.misses == len(owned) > 0
+        assert report.hits == 2 * len(owned)
+        assert pool.metrics.snapshot().worker_respawns == 1
 
 
 # ------------------------------------------------------------------- shutdown
