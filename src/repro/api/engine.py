@@ -7,9 +7,9 @@ scoring (:class:`repro.core.FeatureSpaceJudge`) let the engine keep one
 bounded feature store of per-profile rows shared by *all* entry points —
 ``predict_proba``, ``probability_matrix``, the sliding-window services — so a
 profile seen by several services in the same Δt window is featurized once.
-The store itself is pluggable (:class:`repro.store.FeatureStore`): by default
-an in-RAM LRU, optionally tiered over a memmap arena (``arena_dir=``) so the
-warm set survives restarts and outgrows RAM.
+The store is a :class:`repro.store.TieredStore`: an in-RAM LRU, optionally
+over a memmap arena (``arena_dir=``) so the warm set survives restarts and
+outgrows RAM.
 
 Judges without the feature-level interface (the social judge, duck-typed test
 stubs) still work: the engine falls back to their ``predict_proba`` and the
@@ -39,7 +39,7 @@ from repro.core.protocols import ProfileKey, featurizer_dim, profile_key
 from repro.data.records import Pair, Profile
 from repro.errors import ConfigurationError
 from repro.obs import STAGE_FEATURIZE, get_tracer
-from repro.store import ArenaStore, EngineCacheInfo, FeatureStore, HotStore, TieredStore
+from repro.store import ArenaStore, EngineCacheInfo, HotStore, TieredStore
 from repro.store.base import resolve_rows
 
 
@@ -65,14 +65,9 @@ class ColocationEngine:
     registry:
         Optional explicit POI registry; by default it is taken from the
         judge's featurizer, so services can derive it from the engine.
-    store:
-        An explicit :class:`repro.store.FeatureStore` to serve rows from
-        (``cache_size`` is then ignored in favour of the store's capacity).
     arena_dir:
-        Convenience for the common tiering: build a
-        :class:`repro.store.TieredStore` whose cold tier is a memmap
-        :class:`repro.store.ArenaStore` in this directory.  Mutually
-        exclusive with ``store``.
+        Give the store a cold tier: a memmap :class:`repro.store.ArenaStore`
+        in this directory (created on first write, reopened if present).
     """
 
     def __init__(
@@ -83,7 +78,6 @@ class ColocationEngine:
         threshold: float | None = None,
         batch_size: int = 1024,
         registry=None,
-        store: FeatureStore | None = None,
         arena_dir: str | os.PathLike | None = None,
     ):
         if not hasattr(judge, "predict_proba"):
@@ -92,17 +86,13 @@ class ColocationEngine:
             raise ConfigurationError("cache_size must be >= 0")
         if batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
-        if store is not None and arena_dir is not None:
-            raise ConfigurationError("pass either store= or arena_dir=, not both")
-        if store is None:
-            cold = ArenaStore(arena_dir) if arena_dir is not None else None
-            store = TieredStore(HotStore(cache_size), cold)
-        #: The feature store serving ``_resolve_features`` — by default a
-        #: :class:`repro.store.TieredStore` (hot LRU only, plus a memmap
-        #: arena cold tier when ``arena_dir`` is given).
-        self.store = store
+        #: The feature store serving ``_resolve_features``: the hot LRU,
+        #: plus a memmap arena cold tier when ``arena_dir`` is given.
+        self.store = TieredStore(
+            HotStore(cache_size), ArenaStore(arena_dir) if arena_dir is not None else None
+        )
         self.judge = judge
-        self.cache_size = store.capacity
+        self.cache_size = cache_size
         self.batch_size = batch_size
         self._registry = registry
         #: The shared decision/serve logic (one path for engine, shards and
@@ -244,18 +234,12 @@ class ColocationEngine:
     def warm(self, profiles: list[Profile]) -> int:
         """Pre-featurize profiles into the cache; returns rows featurized.
 
-        The count covers this call only — concurrent callers featurizing at
-        the same time do not inflate it.
+        A gather whose rows are dropped.  The count covers this call only —
+        concurrent callers featurizing at the same time do not inflate it.
         """
-        return self.warm_keyed(*_keyed(profiles))
-
-    def warm_keyed(
-        self, keys: Sequence[ProfileKey], build: Callable[[list[int]], list[Profile]]
-    ) -> int:
-        """:meth:`warm` over keys plus a builder, as :meth:`resolve_keyed`."""
-        if not keys or not self._feature_space:
+        if not profiles or not self._feature_space:
             return 0
-        return self.resolve_keyed(keys, build)[1].featurized
+        return self._resolve_features(profiles)[1].featurized
 
     def cache_info(self) -> EngineCacheInfo:
         """The store's statistics plus the rows this engine featurized."""
@@ -269,9 +253,7 @@ class ColocationEngine:
 
     def close(self) -> None:
         """Flush and release the store's cold tier, if any (idempotent)."""
-        close = getattr(self.store, "close", None)
-        if close is not None:
-            close()
+        self.store.close()
 
     # -------------------------------------------------------------- judgement
     def _score_batched(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:

@@ -181,16 +181,6 @@ class _WorkerShard:
     def call(self, op: str, body: dict, arrays=(), frame: int = wire.FRAME_CALL):
         return self.submit(op, body, arrays, frame).result(self.pool.call_timeout)
 
-    def submit_warm(self, profiles: list[Profile]) -> Future:
-        handle = self.pool._ensure_worker(self.index)
-        rows, visits = wire.encode_profiles(profiles)
-
-        async def warm() -> int:
-            reply, _ = await self.pool._request(handle, "warm", {"profiles": rows}, (visits,))
-            return int(reply["featurized"])
-
-        return asyncio.run_coroutine_threadsafe(warm(), self.pool._loop)
-
     def cache_info(self) -> EngineCacheInfo:
         """This worker slot's cache statistics, counted across respawns.
 

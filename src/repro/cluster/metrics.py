@@ -165,9 +165,6 @@ class ClusterMetrics:
         self._flushes = r.counter(
             "repro_cluster_flushes_total", "Micro-batch flushes"
         )
-        self._flush_requests = r.counter(
-            "repro_cluster_flush_requests_total", "Requests across all flushes"
-        )
         self._rejections = r.counter(
             "repro_cluster_rejections_total", "Submissions shed by backpressure"
         )
@@ -215,7 +212,6 @@ class ClusterMetrics:
         self._flushes.inc()
         self._requests.inc(num_requests)
         self._serves.inc(num_serves)
-        self._flush_requests.inc(num_requests)
         self._pairs.inc(num_pairs)
         self._queue_depth.set(queue_depth)
 
@@ -235,7 +231,7 @@ class ClusterMetrics:
         """Record one worker the gateway respawned after a death."""
         self._worker_respawns.inc()
 
-    def observe_heartbeat(self, worker: int, healthy: bool, rtt_ms: float | None = None) -> None:
+    def observe_heartbeat(self, worker: int, healthy: bool) -> None:
         """Record one heartbeat probe result for a worker.
 
         A healthy beat refreshes the worker's last-seen stamp (on the
@@ -257,6 +253,7 @@ class ClusterMetrics:
     def snapshot(self) -> ClusterMetricsSnapshot:
         """Freeze the current counters (and live cache statistics) into one view."""
         flushes = int(self._flushes.value)
+        requests = int(self._requests.value)
         cache = None
         shard_caches: tuple[EngineCacheInfo, ...] = ()
         if self._engine is not None:
@@ -271,15 +268,13 @@ class ClusterMetrics:
         with self._lock:
             heartbeats = sorted(self._heartbeats.items())
         return ClusterMetricsSnapshot(
-            requests=int(self._requests.value),
+            requests=requests,
             serve_requests=int(self._serves.value),
             pairs_scored=int(self._pairs.value),
             flushes=flushes,
             rejections=int(self._rejections.value),
             queue_depth=int(self._queue_depth.value),
-            mean_flush_requests=(
-                self._flush_requests.value / flushes if flushes else 0.0
-            ),
+            mean_flush_requests=requests / flushes if flushes else 0.0,
             latency_p50_ms=p50,
             latency_p90_ms=p90,
             latency_p99_ms=p99,

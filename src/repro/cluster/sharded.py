@@ -114,9 +114,9 @@ class PartitionedEngine:
 
     A shard is any object with
 
-    * ``submit_gather(profiles, trace)`` and ``submit_warm(profiles)``,
-      each returning a :class:`concurrent.futures.Future` of the owner's
-      ``(rows, CallCacheStats)`` / featurized-row count;
+    * ``submit_gather(profiles, trace)``, returning a
+      :class:`concurrent.futures.Future` of the owner's
+      ``(rows, CallCacheStats)``;
     * ``cache_info()``, ``invalidate(uids)``, ``invalidate_stale()``,
       ``export()`` and ``import_rows(rows)``, as on
       :class:`ColocationEngine` and its feature store;
@@ -286,17 +286,13 @@ class PartitionedEngine:
     def warm(self, profiles: list[Profile]) -> int:
         """Pre-featurize profiles into their owner shards; returns rows featurized.
 
-        The count sums each shard's own per-call accounting, so concurrent
-        callers driving the same cluster do not inflate each other's totals.
+        A gather whose rows are dropped.  The count sums each shard's own
+        per-call accounting, so concurrent callers driving the same cluster
+        do not inflate each other's totals.
         """
         if not profiles or not self._core.feature_space:
             return 0
-        return sum(
-            self._fan_out(
-                partial(self._shards[owner].submit_warm, [profiles[i] for i in sent])
-                for owner, _, _, sent in self._route(profiles)
-            )
-        )
+        return self._resolve_features(profiles)[1].featurized
 
     def features(self, profiles: list[Profile]) -> np.ndarray:
         """Cached frozen feature rows for profiles (gathered across shards)."""
@@ -404,8 +400,8 @@ class _EngineShard(ColocationEngine):
     """An in-process shard: an engine driven by its own single thread.
 
     The thread is the fan-out: a call submits one gather per owner shard and
-    they run concurrently, while each shard's gathers and warms queue on its
-    one thread, so a replica runs at most one featurize at a time and
+    they run concurrently, while each shard's gathers queue on its one
+    thread, so a replica runs at most one featurize at a time and
     concurrent callers cannot pile onto one shard.  It is not a lock: the
     replica's featurizer memos (the vectorizer's word vectors, the ``Fv(r)``
     rows) are each a locked :class:`repro.store.HotStore`, safe to share.
@@ -424,9 +420,6 @@ class _EngineShard(ColocationEngine):
         # shard-side stages (featurize) land in the right trace.
         with get_tracer().activate(trace):
             return self._resolve_features(profiles)
-
-    def submit_warm(self, profiles: list[Profile]) -> Future:
-        return self._thread.submit(self.warm, profiles)
 
     def export(self) -> dict[ProfileKey, np.ndarray]:
         return self.store.export()

@@ -13,11 +13,12 @@ back to the gateway, and serves :mod:`repro.cluster.wire` frames in a loop.
 A worker answers the operations the gateway's wire shard sends and nothing
 else: ``gather`` (the hot path: feature rows as raw numpy payloads plus the
 call's own cache traffic, including the indices of the profiles it
-featurized, and the worker's cumulative cache counters), ``warm``,
-``cache_info``, ``stats`` (its metrics registry), and ``snapshot`` /
-``restore`` so a respawned worker warm-starts from its predecessor's cache
-export.  A ``gather`` or ``warm`` validates its whole columnar batch first,
-looks every profile up by a key built from its scalar row
+featurized, and the worker's cumulative cache counters), ``cache_info``,
+``stats`` (its metrics registry), and ``snapshot`` / ``restore`` so a
+respawned worker warm-starts from its predecessor's cache export; a
+gateway-side warm is a ``gather`` whose rows it drops.  A ``gather``
+validates its whole columnar batch first, looks every profile up by a key
+built from its scalar row
 (:func:`repro.cluster.wire.decode_keyed_profiles`), and builds
 ``Visit``/``Profile`` objects only for the store's misses, which it then
 featurizes — store hits never decode their visits.  Decisions never happen
@@ -109,7 +110,7 @@ def load_judge_bundle(directory: str | pathlib.Path):
 
 
 def _keyed_profiles(body: dict, arrays: list[np.ndarray]):
-    """The validated keys and miss builder of a ``gather``/``warm`` CALL's batch."""
+    """The validated keys and miss builder of a ``gather`` CALL's batch."""
     return wire.decode_keyed_profiles(body.get("profiles"), arrays)
 
 
@@ -154,9 +155,6 @@ def handle_call(engine, payload: bytes) -> bytes:
             },
             [rows],
         )
-    if op == "warm":
-        featurized = engine.warm_keyed(*_keyed_profiles(body, arrays))
-        return wire.encode_payload({"featurized": featurized})
     if op == "cache_info":
         return wire.encode_payload(dataclasses.asdict(engine.cache_info()))
     if op == "stats":

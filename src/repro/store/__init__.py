@@ -12,7 +12,7 @@ it over its tiered store, the per-profile memos of :mod:`repro.features` and
 
 **Tiering.**  :class:`HotStore` is the revision-indexed in-RAM LRU (the
 engine's original cache, extracted).  :class:`ArenaStore` is the cold tier: a
-fixed-dtype ``numpy.memmap`` arena of row slots on disk, bounded as a FIFO
+float64 ``numpy.memmap`` arena of row slots on disk, bounded as a FIFO
 ring.  :class:`TieredStore` composes them with a write-through policy — a put
 lands in the arena (durable) and the LRU (fast) in one call; a hot-miss /
 cold-hit *promotes* the row back into RAM; a hot-tier LRU eviction is a
@@ -37,10 +37,9 @@ recycle list; the bytes stay in the file but become unreachable.
   flushed per line; replay tolerates a torn final line, so a process crash
   loses at most the unacknowledged tail.  ``close()`` compacts the log.
 
-Mapping an arena ``mode="r"`` is the zero-copy sharing path: a respawned
-worker maps its slice read-only (or reopens it ``"r+"`` once it owns the
-slice again) and serves the warm set without re-featurizing a single row and
-without the rows ever crossing the wire.
+A respawned worker reopens its predecessor's slice (the engine's
+``arena_dir=``) and serves the warm set without re-featurizing a single row
+and without the rows ever crossing the wire.
 """
 
 from repro.store.arena import ArenaStore

@@ -1,6 +1,6 @@
 """:class:`ArenaStore` — the memmap arena cold tier.
 
-A fixed-dtype row arena on disk: feature rows live in slots of one
+A float64 row arena on disk: feature rows live in slots of one
 ``numpy.memmap`` file, keyed by :data:`repro.core.protocols.ProfileKey`, so a
 cache miss costs a page-cache read instead of running the encoders — and a
 restarted shard or worker warm-starts by *mapping the file* instead of
@@ -26,10 +26,6 @@ bytes stay in the file but become unreachable) and the free list recycles it
 for the next insert.  When every slot is live, the oldest insertion is
 tombstoned and overwritten (FIFO), so the arena is a bounded ring, not an
 append-only leak.
-
-Open with ``mode="r"`` to map an existing arena read-only — the sharing
-mode: several processes can map one file, ``get(..., copy=False)`` returns
-views straight into the shared page cache, and mutating calls raise.
 """
 
 from __future__ import annotations
@@ -52,6 +48,9 @@ _VERSION = 1
 _HEADER = "header.json"
 _DATA = "arena.dat"
 _LOG = "index.log"
+#: Feature rows are float64 everywhere; the header pins it so every
+#: incarnation maps the same bytes.
+_DTYPE = np.dtype(np.float64)
 
 
 def _decode_key(raw) -> ProfileKey:
@@ -59,7 +58,7 @@ def _decode_key(raw) -> ProfileKey:
 
 
 class ArenaStore:
-    """Fixed-dtype memmap arena of feature rows, keyed by profile key.
+    """Float64 memmap arena of feature rows, keyed by profile key.
 
     Parameters
     ----------
@@ -68,30 +67,13 @@ class ArenaStore:
     capacity:
         Row slots in the arena file.  Ignored when opening an existing
         arena — the header's capacity wins.
-    dtype:
-        Row dtype.  Feature rows are float64 everywhere; the header pins it
-        so every incarnation maps the same bytes.
-    mode:
-        ``"r+"`` (default) creates or opens read-write; ``"r"`` maps an
-        existing arena read-only (mutating calls raise).
     """
 
-    def __init__(
-        self,
-        directory: str | os.PathLike,
-        *,
-        capacity: int = 65536,
-        dtype: str | np.dtype = np.float64,
-        mode: str = "r+",
-    ):
-        if mode not in ("r", "r+"):
-            raise ConfigurationError("arena mode must be 'r' or 'r+'")
+    def __init__(self, directory: str | os.PathLike, *, capacity: int = 65536):
         if capacity < 1:
             raise ConfigurationError("arena capacity must be >= 1")
         self.directory = pathlib.Path(directory)
-        self.mode = mode
         self.capacity = int(capacity)
-        self.dtype = np.dtype(dtype)
         self.dim: int | None = None
         self._lock = threading.RLock()
         #: key -> slot, insertion-ordered: the FIFO ring's eviction order.
@@ -101,21 +83,16 @@ class ArenaStore:
         self._index = RevisionedKeyIndex()
         self._mmap: np.memmap | None = None
         self._log = None
-        self._closed = False
+        #: After :meth:`close` the arena serves nothing and writes raise.
+        self.closed = False
 
         header_path = self.directory / _HEADER
         if header_path.exists():
             self._open_existing(header_path)
-        elif mode == "r":
-            raise ConfigurationError(f"{self.directory} holds no feature arena to map")
-        # Read-write on a fresh directory: the arena materialises lazily on
-        # the first put, when the row dimensionality is known.
+        # A fresh directory materialises lazily on the first put, when the
+        # row dimensionality is known.
 
     # ------------------------------------------------------------- file layout
-    @property
-    def writable(self) -> bool:
-        return self.mode == "r+" and not self._closed
-
     def _open_existing(self, header_path: pathlib.Path) -> None:
         try:
             header = json.loads(header_path.read_text())
@@ -127,33 +104,29 @@ class ArenaStore:
             raise ConfigurationError(
                 f"arena version {header.get('version')!r} unsupported (want {_VERSION})"
             )
+        if header.get("dtype") != _DTYPE.name:
+            raise ConfigurationError(
+                f"arena dtype {header.get('dtype')!r} unsupported (want {_DTYPE.name})"
+            )
         self.capacity = int(header["capacity"])
         self.dim = int(header["dim"])
-        self.dtype = np.dtype(str(header["dtype"]))
         self._mmap = np.memmap(
-            self.directory / _DATA,
-            dtype=self.dtype,
-            mode=self.mode,
-            shape=(self.capacity, self.dim),
+            self.directory / _DATA, dtype=_DTYPE, mode="r+", shape=(self.capacity, self.dim)
         )
         self._replay_log()
-        if self.mode == "r+":
-            self._log = open(self.directory / _LOG, "a", encoding="utf-8")
+        self._log = open(self.directory / _LOG, "a", encoding="utf-8")
 
     def _initialise(self, dim: int) -> None:
         """First write into a fresh directory: header, data file, log."""
         self.directory.mkdir(parents=True, exist_ok=True)
         self.dim = int(dim)
         self._mmap = np.memmap(
-            self.directory / _DATA,
-            dtype=self.dtype,
-            mode="w+",
-            shape=(self.capacity, self.dim),
+            self.directory / _DATA, dtype=_DTYPE, mode="w+", shape=(self.capacity, self.dim)
         )
         header = {
             "magic": _MAGIC,
             "version": _VERSION,
-            "dtype": self.dtype.name,
+            "dtype": _DTYPE.name,
             "dim": self.dim,
             "capacity": self.capacity,
         }
@@ -210,22 +183,17 @@ class ArenaStore:
             self._log.write(json.dumps(record) + "\n")
             self._log.flush()  # reach the kernel: survives a process crash
 
-    def _require_writable(self) -> None:
-        if self._closed:
+    def _require_open(self) -> None:
+        if self.closed:
             raise ConfigurationError("the arena store is closed")
-        if self.mode != "r+":
-            raise ConfigurationError("the arena is mapped read-only")
 
     # ----------------------------------------------------------------- lookups
-    def get(self, key: ProfileKey, *, copy: bool = True) -> np.ndarray | None:
-        """The row stored under ``key``.
+    def get(self, key: ProfileKey) -> np.ndarray | None:
+        """A copy of the row stored under ``key``.
 
-        By default the row is copied *under the arena lock* — a concurrent
+        The copy is taken *under the arena lock*: a concurrent
         invalidate-then-put could recycle the slot, and a view handed out
         across the lock boundary could tear into another key's bytes.
-        ``copy=False`` returns the raw page-cache view (true zero-copy) and
-        is safe only when the slot cannot be rewritten underneath the caller:
-        read-only mappings, or single-threaded owners.
         """
         with self._lock:
             if self._mmap is None:
@@ -233,12 +201,12 @@ class ArenaStore:
             slot = self._slots.get(key)
             if slot is None:
                 return None
-            return np.array(self._mmap[slot]) if copy else self._mmap[slot]
+            return np.array(self._mmap[slot])
 
     def put(self, key: ProfileKey, row: np.ndarray, *, copy: bool = False) -> None:
         """Write a row into a slot (rows always copy into the mapped file)."""
-        self._require_writable()
-        row = np.asarray(row, dtype=self.dtype)
+        self._require_open()
+        row = np.asarray(row, dtype=_DTYPE)
         if row.ndim != 1:
             raise ConfigurationError(f"arena rows must be 1-D, got shape {row.shape}")
         with self._lock:
@@ -287,7 +255,7 @@ class ArenaStore:
     # ------------------------------------------------------------ invalidation
     def drop_keys(self, keys: Iterable[ProfileKey]) -> list[ProfileKey]:
         """Tombstone the given keys; returns those that were actually live."""
-        self._require_writable()
+        self._require_open()
         dropped = []
         with self._lock:
             for key in keys:
@@ -318,7 +286,7 @@ class ArenaStore:
             return self._index.stale_keys()
 
     def clear(self) -> None:
-        self._require_writable()
+        self._require_open()
         with self._lock:
             self._slots.clear()
             # Revision watermarks survive, as in the hot tier: a tiered
@@ -342,14 +310,6 @@ class ArenaStore:
             return sum(1 for key in rows if key in self._slots)
 
     # --------------------------------------------------------------- lifecycle
-    def sync(self) -> None:
-        """Flush mapped rows and the index log to the OS."""
-        with self._lock:
-            if self._mmap is not None and self.mode == "r+":
-                self._mmap.flush()
-            if self._log is not None:
-                self._log.flush()
-
     def _compact_log(self) -> None:
         """Rewrite the log as the live mapping only (atomic rename)."""
         tmp = self.directory / (_LOG + ".tmp")
@@ -361,15 +321,16 @@ class ArenaStore:
     def close(self) -> None:
         """Flush, compact the index log, release the mapping (idempotent)."""
         with self._lock:
-            if self._closed:
+            if self.closed:
                 return
-            self.sync()
+            if self._mmap is not None:
+                self._mmap.flush()
             if self._log is not None:
                 self._log.close()
                 self._log = None
                 self._compact_log()
             self._mmap = None
-            self._closed = True
+            self.closed = True
 
     def __enter__(self) -> "ArenaStore":
         return self
@@ -384,7 +345,4 @@ class ArenaStore:
             return EngineCacheInfo(cold_size=len(self._slots))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ArenaStore({self.directory}, rows={len(self)}/{self.capacity}, "
-            f"mode={self.mode!r})"
-        )
+        return f"ArenaStore({self.directory}, rows={len(self)}/{self.capacity})"

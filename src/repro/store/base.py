@@ -5,8 +5,8 @@ feature cache satisfies — the single hot-tier LRU (:class:`repro.store.HotStor
 the memmap arena cold tier (:class:`repro.store.ArenaStore`), and the
 :class:`repro.store.TieredStore` that composes them.  The
 :class:`repro.api.ColocationEngine` talks only to this contract, so swapping
-the cache layout (bigger-than-RAM cold tiers, shared read-only arenas, future
-remote tiers) never touches the judgement path.
+the cache layout (bigger-than-RAM cold tiers, future remote tiers) never
+touches the judgement path.
 
 Ownership rule: ``put(key, row)`` *moves* the row into the store — callers
 that just allocated the row (the engine inserting the batch it featurized)

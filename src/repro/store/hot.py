@@ -8,10 +8,11 @@ This is the feature cache that used to live inlined in
 the engine depends only on the :class:`repro.store.FeatureStore` contract and
 the LRU can sit as the hot tier of a :class:`repro.store.TieredStore`.
 
-The ``on_evict`` hook is the tiering seam: the tiered store registers a
-demotion callback, so rows leaving RAM land in the cold arena instead of
-being dropped.  With ``capacity=0`` the store caches nothing and ``put`` is
-a no-op (the tiered store still write-throughs to its cold tier itself).
+The eviction hook is the tiering seam: a :class:`repro.store.TieredStore`
+installs its demotion callback as ``_on_evict``, so rows leaving RAM land in
+the cold arena instead of being dropped.  With ``capacity=0`` the store
+caches nothing and ``put`` is a no-op (the tiered store still
+write-throughs to its cold tier itself).
 It is also the memo type of the featurizers and judges, which are
 deep-copied per shard and pickled into worker bundles, so a store copies.
 """
@@ -29,9 +30,6 @@ from repro.core.protocols import ProfileKey, RevisionedKeyIndex
 from repro.errors import ConfigurationError
 from repro.store.base import EngineCacheInfo
 
-#: Eviction callback: ``(key, row)`` leaving the hot tier.
-EvictHook = Callable[[ProfileKey, np.ndarray], None]
-
 
 class HotStore:
     """Bounded, thread-safe, revision-indexed LRU over feature rows.
@@ -40,19 +38,18 @@ class HotStore:
     ----------
     capacity:
         Maximum rows resident; ``0`` disables the tier (puts are dropped).
-    on_evict:
-        Called with ``(key, row)`` for every row the LRU bound pushes out —
-        under the store lock, so hooks must not call back into this store.
     """
 
-    def __init__(self, capacity: int, *, on_evict: EvictHook | None = None):
+    def __init__(self, capacity: int):
         if capacity < 0:
             raise ConfigurationError("capacity must be >= 0")
         self.capacity = capacity
         self._lock = threading.RLock()
         self._rows: OrderedDict[ProfileKey, np.ndarray] = OrderedDict()  # guarded-by: _lock
         self._index = RevisionedKeyIndex()  # guarded-by: _lock
-        self._on_evict = on_evict
+        #: Called with ``(key, row)`` for every row the LRU bound pushes out,
+        #: under the store lock, so it must not call back into this store.
+        self._on_evict: Callable[[ProfileKey, np.ndarray], None] | None = None
         self._hits = 0  # guarded-by: _lock
         self._misses = 0  # guarded-by: _lock
         self._evictions = 0  # guarded-by: _lock

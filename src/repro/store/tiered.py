@@ -12,19 +12,16 @@ cold-read cost instead of re-featurization cost.
 
 With ``cold=None`` the tiered store degenerates to the plain hot LRU — the
 default for every transport when no arena directory is configured, with
-byte-identical semantics to the pre-store engine cache.  A read-only cold
-tier (an arena mapped ``mode="r"``) serves lookups and promotions but is
-skipped by writes and demotions; invalidation and clear cannot mutate the
-shared file, so dropped keys are remembered in an in-memory tombstone set
-that lookups consult — the row stays in the arena for other mappers but is
-dead to *this* store until a fresh put supersedes the drop.
+byte-identical semantics to the pre-store engine cache.  Once the arena is
+closed, writes, demotions, drops and clears skip it and the hot tier keeps
+serving on its own.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -47,7 +44,7 @@ class TieredStore:
     Parameters
     ----------
     hot:
-        The in-RAM tier.  Its ``on_evict`` hook is claimed by this store
+        The in-RAM tier.  This store installs its eviction hook
         (evictions turn into demotion accounting).
     cold:
         Optional arena tier; ``None`` leaves a single-tier LRU.
@@ -62,10 +59,6 @@ class TieredStore:
         self._promotions = 0
         self._demotions = 0
         self._invalidated = 0
-        #: Keys invalidated while the cold tier is read-only: the shared
-        #: arena file cannot be mutated, so get() consults this set to keep
-        #: the "removed from any tier" invalidation contract honest.
-        self._ro_tombstones: set[ProfileKey] = set()
 
     @property
     def capacity(self) -> int:
@@ -79,8 +72,8 @@ class TieredStore:
     def cold(self) -> ArenaStore | None:
         return self._cold
 
-    def _cold_writable(self) -> bool:
-        return self._cold is not None and self._cold.writable
+    def _cold_open(self) -> bool:
+        return self._cold is not None and not self._cold.closed
 
     # ----------------------------------------------------------------- lookups
     def get(self, key: ProfileKey) -> np.ndarray | None:
@@ -99,8 +92,6 @@ class TieredStore:
             return row
         if self._cold is None:
             return None
-        if self._ro_tombstones and key in self._ro_tombstones:
-            return None  # invalidated against a read-only cold tier
         # The arena copies under its own lock (a recycled slot must not tear
         # into the returned row); the hot tier then owns that stable copy.
         row = self._cold.get(key)
@@ -126,16 +117,13 @@ class TieredStore:
     def put(self, key: ProfileKey, row: np.ndarray, *, copy: bool = False) -> None:
         # Write-through: the arena copies into the mapped file, making the
         # row durable before the RAM tier ever sees it.
-        if self._cold_writable():
+        if self._cold_open():
             self._cold.put(key, row)
-        if self._ro_tombstones:
-            with self._counters:
-                self._ro_tombstones.discard(key)  # a fresh row supersedes the drop
         self._hot.put(key, row, copy=copy)
 
     def _demote(self, key: ProfileKey, row: np.ndarray) -> None:
         """Hot-tier eviction hook: keep the row reachable in the arena."""
-        if not self._cold_writable():
+        if not self._cold_open():
             return
         tracer = get_tracer()
         timed = tracer.enabled
@@ -151,48 +139,34 @@ class TieredStore:
         return len(self._hot)
 
     def __contains__(self, key: ProfileKey) -> bool:
-        if key in self._hot:
-            return True
-        if self._cold is None or key in self._ro_tombstones:
-            return False
-        return key in self._cold
+        return key in self._hot or (self._cold is not None and key in self._cold)
 
     # ------------------------------------------------------------ invalidation
-    def _tombstone_cold(self, keys: Iterable[ProfileKey]) -> list[ProfileKey]:
-        """Record read-only-cold drops; returns the keys newly tombstoned."""
-        with self._counters:
-            fresh = [key for key in keys if key not in self._ro_tombstones]
-            self._ro_tombstones.update(fresh)
-        return fresh
-
     def invalidate(self, uids: Iterable[int]) -> int:
         uids = list(uids)
-        dropped = set(self._hot.drop_keys(self._hot.keys_of(uids)))
-        if self._cold_writable():
-            dropped.update(self._cold.drop_keys(self._cold.keys_of(uids)))
-        elif self._cold is not None:
-            dropped.update(self._tombstone_cold(self._cold.keys_of(uids)))
-        return self._count_invalidated(dropped)
+        return self._drop(lambda tier: tier.keys_of(uids))
 
     def invalidate_stale(self) -> int:
-        dropped = set(self._hot.drop_keys(self._hot.stale_keys()))
-        if self._cold_writable():
-            dropped.update(self._cold.drop_keys(self._cold.stale_keys()))
-        elif self._cold is not None:
-            dropped.update(self._tombstone_cold(self._cold.stale_keys()))
-        return self._count_invalidated(dropped)
+        return self._drop(lambda tier: tier.stale_keys())
 
-    def _count_invalidated(self, dropped: set[ProfileKey]) -> int:
+    def _drop(self, doomed_in: Callable[[HotStore | ArenaStore], list[ProfileKey]]) -> int:
+        """Drop the keys either tier dooms from both tiers; returns distinct keys dropped.
+
+        The tiers can disagree: a reopened arena rebuilds its revision
+        watermarks from its log while the new hot tier starts with none, so
+        a row promoted after a reopen can be stale only by the arena's mark.
+        """
+        tiers = [self._hot, self._cold] if self._cold_open() else [self._hot]
+        doomed = {key for tier in tiers for key in doomed_in(tier)}
+        dropped = {key for tier in tiers for key in tier.drop_keys(doomed)}
         with self._counters:
             self._invalidated += len(dropped)
         return len(dropped)
 
     def clear(self) -> None:
         self._hot.clear()
-        if self._cold_writable():
+        if self._cold_open():
             self._cold.clear()
-        elif self._cold is not None:
-            self._tombstone_cold(self._cold.keys())
 
     # -------------------------------------------------------- snapshot/restore
     def export(self) -> dict[ProfileKey, np.ndarray]:
@@ -205,11 +179,6 @@ class TieredStore:
         return sum(1 for key in rows if key in self)
 
     # --------------------------------------------------------------- lifecycle
-    def sync(self) -> None:
-        """Flush the cold tier to the OS (no-op without one)."""
-        if self._cold is not None:
-            self._cold.sync()
-
     def close(self) -> None:
         """Release the cold tier's mapping (hot rows stay usable)."""
         if self._cold is not None:
@@ -229,9 +198,8 @@ class TieredStore:
                 self._demotions,
                 self._invalidated,
             )
-            tombstoned = len(self._ro_tombstones)
         hot = self._hot.stats()
-        cold_size = max(0, len(self._cold) - tombstoned) if self._cold is not None else 0
+        cold_size = len(self._cold) if self._cold is not None else 0
         return dataclasses.replace(
             hot,
             hits=hot.hits + cold_hits,

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import ColocationEngine
-from repro.errors import ConfigurationError
-from repro.store import HotStore, TieredStore
+from repro.store import TieredStore
 
 
 class CountingFeaturizer:
@@ -40,18 +39,6 @@ class TestStoreWiring:
         assert isinstance(engine.store, TieredStore)
         assert engine.store.cold is None
         assert engine.cache_size == 8
-
-    def test_explicit_store_wins_over_cache_size(self, fitted_pipeline):
-        store = TieredStore(HotStore(3))
-        engine = ColocationEngine(fitted_pipeline, cache_size=999, store=store)
-        assert engine.store is store
-        assert engine.cache_size == 3
-
-    def test_store_and_arena_dir_are_mutually_exclusive(self, fitted_pipeline, tmp_path):
-        with pytest.raises(ConfigurationError):
-            ColocationEngine(
-                fitted_pipeline, store=TieredStore(HotStore(3)), arena_dir=tmp_path
-            )
 
 
 class TestArenaTiering:

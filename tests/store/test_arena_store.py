@@ -75,23 +75,6 @@ def test_replay_refuses_mid_file_corruption(tmp_path):
         ArenaStore(tmp_path)
 
 
-def test_read_only_mapping_serves_reads_and_refuses_writes(tmp_path):
-    with ArenaStore(tmp_path) as arena:
-        arena.put(key(1), row(1.0))
-    readonly = ArenaStore(tmp_path, mode="r")
-    assert not readonly.writable
-    assert np.array_equal(readonly.get(key(1)), row(1.0))
-    with pytest.raises(ConfigurationError):
-        readonly.put(key(2), row(2.0))
-    with pytest.raises(ConfigurationError):
-        readonly.clear()
-
-
-def test_read_only_requires_an_existing_arena(tmp_path):
-    with pytest.raises(ConfigurationError):
-        ArenaStore(tmp_path / "nothing-here", mode="r")
-
-
 def test_tombstone_invalidation_recycles_slots(tmp_path):
     arena = ArenaStore(tmp_path, capacity=2)
     arena.put(key(1), row(1.0))

@@ -60,7 +60,8 @@ def test_put_copy_true_defends_against_borrowed_rows():
 
 def test_lru_eviction_drops_coldest_first():
     evicted = []
-    store = HotStore(2, on_evict=lambda k, r: evicted.append(k))
+    store = HotStore(2)
+    store._on_evict = lambda k, r: evicted.append(k)  # as TieredStore installs it
     store.put(key(1), row(1.0))
     store.put(key(2), row(2.0))
     store.get(key(1))  # refresh: key 2 becomes the coldest

@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.store import ArenaStore, FeatureStore, HotStore, TieredStore
 
 
@@ -101,43 +102,35 @@ def test_invalidate_stale_sweeps_both_tiers(tiered):
     assert key(1, rev=2, ts=9.0) in tiered
 
 
-def test_read_only_cold_tier_serves_but_is_never_mutated(tmp_path):
-    with ArenaStore(tmp_path) as writer:
-        writer.put(key(1), row(1.0))
-    tiered = TieredStore(HotStore(2), ArenaStore(tmp_path, mode="r"))
-    assert np.array_equal(tiered.get(key(1)), row(1.0))  # promoted from cold
-    tiered.put(key(2), row(2.0))  # hot-only: the mapping is read-only
-    assert tiered.invalidate([1]) == 1  # hot copy dropped, cold copy tombstoned
-    assert len(tiered.cold) == 1  # the shared arena file itself is untouched
+def test_stale_sweep_after_reopen_reaches_rows_promoted_into_ram(tmp_path):
+    """A reopened arena's watermark can run ahead of the fresh hot tier's:
+    a row stale only by the arena's mark must still leave RAM."""
+    first = TieredStore(HotStore(2), ArenaStore(tmp_path))
+    first.put(key(1, rev=0), row(0.0))
+    first.put(key(1, rev=2, ts=9.0), row(2.0))
+    first.close()
+    reopened = TieredStore(HotStore(2), ArenaStore(tmp_path))
+    assert np.array_equal(reopened.get(key(1, rev=0)), row(0.0))  # promoted
+    assert reopened.invalidate_stale() == 1
+    assert reopened.get(key(1, rev=0)) is None
+    assert key(1, rev=0) not in reopened
+    assert np.array_equal(reopened.get(key(1, rev=2, ts=9.0)), row(2.0))
 
 
-def test_invalidate_against_read_only_cold_does_not_resurrect(tmp_path):
-    """A dropped key must stay dead: promotion cannot undo invalidation."""
-    with ArenaStore(tmp_path) as writer:
-        writer.put(key(1), row(1.0))
-        writer.put(key(2), row(2.0))
-    tiered = TieredStore(HotStore(4), ArenaStore(tmp_path, mode="r"))
-    assert tiered.invalidate([1]) == 1
-    assert tiered.get(key(1)) is None  # no cold-hit resurrection
-    assert key(1) not in tiered
-    assert np.array_equal(tiered.get(key(2)), row(2.0))  # others unaffected
-    assert len(tiered.cold) == 2  # arena untouched, key 1 just dead here
-    assert tiered.stats().cold_size == 1
-    tiered.put(key(1), row(1.5))  # a fresh row supersedes the drop
-    assert np.array_equal(tiered.get(key(1)), row(1.5))
-
-
-def test_invalidate_stale_and_clear_tombstone_read_only_cold(tmp_path):
-    with ArenaStore(tmp_path) as writer:
-        writer.put(key(1, rev=1), row(1.0))
-        writer.put(key(1, rev=2, ts=9.0), row(2.0))
-    tiered = TieredStore(HotStore(4), ArenaStore(tmp_path, mode="r"))
-    assert tiered.invalidate_stale() == 1
-    assert tiered.get(key(1, rev=1)) is None
-    assert np.array_equal(tiered.get(key(1, rev=2, ts=9.0)), row(2.0))
+def test_a_closed_cold_tier_is_skipped_without_raising(tmp_path):
+    tiered = TieredStore(HotStore(1), ArenaStore(tmp_path))
+    tiered.put(key(1), row(1.0))
+    tiered.close()
+    tiered.put(key(2), row(2.0))  # no write-through; evicting key 1 demotes nothing
+    assert np.array_equal(tiered.get(key(2)), row(2.0))  # the hot tier still serves
+    assert tiered.get(key(1)) is None
+    assert tiered.invalidate([2]) == 1
+    assert tiered.invalidate_stale() == 0
     tiered.clear()
-    assert tiered.get(key(1, rev=2, ts=9.0)) is None
-    assert len(tiered.cold) == 2  # both rows still live for other mappers
+    assert tiered.stats().demotions == 0
+    with pytest.raises(ConfigurationError):
+        tiered.cold.put(key(3), row(3.0))  # the arena itself refuses
+    assert ArenaStore(tmp_path).keys() == [key(1)]  # nothing reached the disk after close
 
 
 def test_export_is_hot_tier_sized(tiered):

@@ -7,6 +7,14 @@ one cache-statistics snapshot must stay self-consistent: every lookup is a
 hit or a miss, every hit is answered by exactly one tier, ``invalidated``
 equals the drops the calls returned, and the hot tier never exceeds its
 bound.
+
+Two rules restart the store over the same arena directory: a clean
+``close()`` and a crash (the store is dropped unclosed and the arena is
+replayed from its flushed log).  Either way every row the model holds comes
+back with exact bytes and every dropped key stays dropped.  The revision
+watermarks differ: ``close()`` compacts the log to the live puts, so a clean
+reopen rebuilds them from the live keys only, while a crash replays every
+put since the last compaction and keeps them.
 """
 
 import shutil
@@ -33,11 +41,15 @@ class TieredStoreMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.directory = tempfile.mkdtemp(prefix="tiered-model-")
-        self.store = TieredStore(HotStore(2), ArenaStore(self.directory, capacity=64))
         self.model: dict = {}
-        #: Highest revision ever put per uid: both tiers' stale watermark,
-        #: which survives drops and clears.
+        #: Highest revision put per uid since the log was last compacted:
+        #: the stale watermark, which survives drops and clears.
         self.latest: dict[int, int] = {}
+        self.open_store()
+
+    def open_store(self):
+        """A fresh store over the arena directory, with fresh counters."""
+        self.store = TieredStore(HotStore(2), ArenaStore(self.directory, capacity=64))
         self.hits = self.misses = self.dropped = 0
 
     def teardown(self):
@@ -83,6 +95,18 @@ class TieredStoreMachine(RuleBasedStateMachine):
     def clear(self):
         self.store.clear()
         self.model.clear()
+
+    @rule()
+    def close_and_reopen(self):
+        self.store.close()
+        self.open_store()
+        self.latest = {}
+        for uid, *_, revision in self.model:
+            self.latest[uid] = max(self.latest.get(uid, UNREVISIONED), revision)
+
+    @rule()
+    def crash_and_reopen(self):
+        self.open_store()  # the old store is dropped unclosed
 
     @invariant()
     def stats_are_consistent(self):
