@@ -202,6 +202,17 @@ class TestFeatureCache:
         assert info.featurized == 5
         assert 0.0 < info.hit_rate < 1.0
 
+    def test_warm_counts_each_distinct_profile_once(self, engine, tiny_dataset):
+        first, second = tiny_dataset.train.labeled_profiles[:2]
+        assert engine.warm([first, second, first, second, first]) == 2
+        assert engine.cache_info().size == 2
+        assert engine.warm([second, first]) == 0  # a warm is a gather: all hits now
+
+    def test_warm_of_no_profiles_touches_nothing(self, engine):
+        assert engine.warm([]) == 0
+        info = engine.cache_info()
+        assert (info.hits, info.misses, info.size, info.featurized) == (0, 0, 0, 0)
+
     def test_clear_cache(self, engine, tiny_dataset):
         engine.warm(tiny_dataset.train.labeled_profiles[:3])
         engine.clear_cache()

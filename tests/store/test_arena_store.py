@@ -153,6 +153,65 @@ def test_rejects_corrupt_header_and_wrong_dim(tmp_path):
         ArenaStore(tmp_path)
 
 
+def _rewrite_header(directory, **fields):
+    header_path = directory / "header.json"
+    header = json.loads(header_path.read_text())
+    header.update(fields)
+    header_path.write_text(json.dumps(header))
+
+
+def test_rejects_a_header_whose_dtype_is_not_float64(tmp_path):
+    with ArenaStore(tmp_path) as arena:
+        arena.put(key(1), row(1.0))
+    _rewrite_header(tmp_path, dtype="float32")
+    with pytest.raises(ConfigurationError, match="dtype"):
+        ArenaStore(tmp_path)
+
+
+def test_rejects_an_unsupported_format_version(tmp_path):
+    with ArenaStore(tmp_path) as arena:
+        arena.put(key(1), row(1.0))
+    _rewrite_header(tmp_path, version=2)
+    with pytest.raises(ConfigurationError, match="version"):
+        ArenaStore(tmp_path)
+
+
+def test_rows_are_stored_as_float64(tmp_path):
+    arena = ArenaStore(tmp_path)
+    arena.put(key(1), np.arange(4, dtype=np.int32))
+    arena.put(key(2), np.full(4, 0.1, dtype=np.float32))
+    assert arena.get(key(1)).dtype == np.float64
+    assert np.array_equal(arena.get(key(1)), [0.0, 1.0, 2.0, 3.0])
+    assert np.array_equal(arena.get(key(2)), np.full(4, np.float32(0.1), dtype=np.float64))
+
+
+def test_get_hands_out_a_copy_not_a_view_of_the_mapping(tmp_path):
+    arena = ArenaStore(tmp_path)
+    arena.put(key(1), row(1.0))
+    served = arena.get(key(1))
+    served[:] = 7.0  # the caller's copy is its own
+    assert np.array_equal(arena.get(key(1)), row(1.0))
+    arena.put(key(1), row(2.0))  # rewriting the slot leaves the copy alone
+    assert np.array_equal(served, row(7.0))
+
+
+def test_a_closed_arena_serves_nothing_and_refuses_writes(tmp_path):
+    arena = ArenaStore(tmp_path)
+    arena.put(key(1), row(1.0))
+    arena.close()
+    arena.close()  # idempotent
+    assert arena.closed
+    assert arena.get(key(1)) is None  # the mapping is released
+    for write in (
+        lambda: arena.put(key(2), row(2.0)),
+        lambda: arena.drop_keys([key(1)]),
+        arena.clear,
+    ):
+        with pytest.raises(ConfigurationError):
+            write()
+    assert ArenaStore(tmp_path).keys() == [key(1)]
+
+
 def test_stats_report_cold_occupancy(tmp_path):
     arena = ArenaStore(tmp_path)
     arena.put(key(1), row(1.0))
