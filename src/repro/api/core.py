@@ -346,23 +346,26 @@ class JudgementCore:
                 raise ConfigurationError("request threshold must lie in [0, 1]")
         tracer = get_tracer()
         traced = tracer.enabled
-        traces = [None] * len(requests)
         started = time.perf_counter()
-        default_threshold = self.threshold
-        thresholds = [
-            default_threshold if request.threshold is None else float(request.threshold)
-            for request in requests
-        ]
-        default_rule = [
-            request.threshold is None and self.explicit_threshold is None
-            for request in requests
-        ]
-        probabilities: list[np.ndarray] = [np.zeros(0)] * len(requests)
-        decisions: list[np.ndarray] = [np.zeros(0, dtype=int)] * len(requests)
-        stats: list[CallCacheStats] = [NO_CACHE_TRAFFIC] * len(requests)
+        count = len(requests)
+        # Every slot is filled below: by the fallback path or by the segment loop.
+        thresholds: list[float] = [0.0] * count
+        default_rule = [False] * count
+        probabilities: list[np.ndarray] = [None] * count  # type: ignore[list-item]
+        decisions: list[np.ndarray] = [None] * count  # type: ignore[list-item]
+        stats: list[CallCacheStats] = [NO_CACHE_TRAFFIC] * count
+        traces: list = [None] * count
         feature_requests: list[int] = []  # indices, in batch order
         feature_space = self.feature_space
+        default_threshold = None
         for index, request in enumerate(requests):
+            if request.threshold is None:
+                if default_threshold is None:
+                    default_threshold = self.threshold
+                thresholds[index] = default_threshold
+                default_rule[index] = self.explicit_threshold is None
+            else:
+                thresholds[index] = float(request.threshold)
             if request.pairs and feature_space:
                 feature_requests.append(index)
                 continue
@@ -384,20 +387,22 @@ class JudgementCore:
                 lead = traces[feature_requests[0]]
                 with tracer.activate(lead), tracer.stage(STAGE_GATHER):
                     left, right, segment_stats = self.resolve_pair_features(pairs, lengths)
-                gathered = lead.stage_list()
-                for index in feature_requests[1:]:
-                    for name, duration_ms in gathered:
-                        traces[index].add(name, duration_ms)
+                if len(feature_requests) > 1:
+                    gathered = lead.stage_list()
+                    for index in feature_requests[1:]:
+                        for name, duration_ms in gathered:
+                            traces[index].add(name, duration_ms)
                 score_started = tracer.clock()
             else:
                 left, right, segment_stats = self.resolve_pair_features(pairs, lengths)
             scored = self._scorer(left, right)
+            decide = hasattr(self.judge, "decide_feature_pairs")
             offset = 0
             for index, length, request_stats in zip(feature_requests, lengths, segment_stats):
                 stop = offset + length
                 probabilities[index] = scored[offset:stop]
                 stats[index] = request_stats
-                if default_rule[index] and hasattr(self.judge, "decide_feature_pairs"):
+                if default_rule[index] and decide:
                     decisions[index] = np.asarray(
                         self.judge.decide_feature_pairs(left[offset:stop], right[offset:stop]),
                         dtype=int,
@@ -415,20 +420,22 @@ class JudgementCore:
                     traces=[traces[index] for index in feature_requests],
                 )
         elapsed_ms = (time.perf_counter() - started) * 1e3
-        if traced:
-            for trace in traces:
-                if trace is not None:
-                    tracer.finish(trace, total_ms=elapsed_ms)
-        return [
-            JudgeResponse(
-                probabilities=tuple(probabilities[index].tolist()),
-                decisions=tuple(decisions[index].tolist()),
-                threshold=thresholds[index],
-                cache_hits=stats[index].hits,
-                cache_misses=stats[index].misses,
-                cache_invalidated=stats[index].invalidated,
-                elapsed_ms=elapsed_ms,
-                trace=traces[index].report() if traces[index] is not None else None,
+        responses = []
+        for index in range(count):
+            trace = traces[index]
+            if trace is not None:
+                tracer.finish(trace, total_ms=elapsed_ms)
+            request_stats = stats[index]
+            responses.append(
+                JudgeResponse(
+                    probabilities=tuple(probabilities[index].tolist()),
+                    decisions=tuple(decisions[index].tolist()),
+                    threshold=thresholds[index],
+                    cache_hits=request_stats.hits,
+                    cache_misses=request_stats.misses,
+                    cache_invalidated=request_stats.invalidated,
+                    elapsed_ms=elapsed_ms,
+                    trace=trace.report() if trace is not None else None,
+                )
             )
-            for index in range(len(requests))
-        ]
+        return responses

@@ -85,6 +85,9 @@ from repro.obs import STAGE_QUEUE_WAIT, get_tracer
 #: the engine while the other collects, routes and scores.  Fixed — deeper
 #: pipelines only queue more calls behind the same engine.
 _FLUSH_DEPTH = 2
+#: Longest an idle flusher defers a finished flush's metrics bookkeeping
+#: while the callers it answered resume.
+_HANDOFF_S = 0.25e-3
 
 
 @dataclass
@@ -396,9 +399,10 @@ class MicroBatcher:
                 taken = self._next_batch()
                 if taken is None:
                     return
-                batch, barrier = taken
+                batch, barrier, depth = taken
+                timing = None
                 try:
-                    self._flush(batch)
+                    timing = self._flush(batch, depth)
                 except Exception as exc:
                     # _flush forwards engine errors to its futures itself;
                     # anything still escaping fails this batch loudly and
@@ -416,6 +420,14 @@ class MicroBatcher:
                             # empty queue has no such flush; a wake-up now
                             # would only cost the callers this flush answered.
                             self._wake.notify()
+                        elif timing is not None and not self._closed:
+                            # A caller woken by its answer runs only once this
+                            # thread blocks: step aside before the bookkeeping
+                            # so it stays out of their latency.  A submit or
+                            # a close cuts the wait short.
+                            self._wake.wait(_HANDOFF_S)
+                if timing is not None:
+                    self._record(batch, *timing)
         except BaseException as exc:
             # The flusher is dying (KeyboardInterrupt, MemoryError, ...):
             # leaving the queue silently unserved would hang every waiter.
@@ -436,12 +448,13 @@ class MicroBatcher:
                 pending.future.set_exception(error)
             self._notify_everyone()  # blocked submitters raise, the other flusher exits
 
-    def _next_batch(self) -> tuple[list[_Pending], bool] | None:
+    def _next_batch(self) -> tuple[list[_Pending], bool, int] | None:
         """Block until a flush is due and allowed; take up to ``max_batch``
         work items.
 
-        Returns the batch and whether it is a barrier (it holds an
-        invalidation), or ``None`` once the batcher is closed and drained.
+        Returns the batch, whether it is a barrier (it holds an
+        invalidation) and the queue depth it leaves, or ``None`` once the
+        batcher is closed and drained.
         """
         with self._cond:
             while True:
@@ -481,22 +494,12 @@ class MicroBatcher:
                 if self._queue:
                     self._wake.notify()  # the rest is the other flusher's
                 self._cond.notify_all()  # wake blocked submitters: the queue has room
-                return batch, barrier
+                return batch, barrier, len(self._queue)
 
-    def _flush(self, batch: list[_Pending]) -> None:
-        if not batch:
-            return
-        depth = self.queue_depth
+    def _flush(self, batch: list[_Pending], depth: int) -> tuple:
+        """Answer one batch; returns ``(tracer, queue depth, started, finished)`` for :meth:`_record`."""
         started = self._time()
         tracer = get_tracer()
-        if tracer.enabled:
-            # The time between submission and this flush picking the request
-            # up is the queue_wait stage — already over by the time any trace
-            # exists, so it is recorded from the pending's enqueue stamp.
-            for pending in batch:
-                tracer.record_stage(
-                    STAGE_QUEUE_WAIT, (started - pending.enqueued) * 1e3
-                )
         try:
             # Invalidations first: a flush is the batcher's unit of ordering,
             # and a mutation queued before (or alongside) a request must win —
@@ -543,7 +546,7 @@ class MicroBatcher:
                 for pending, response in zip(serve_requests, responses):
                     if tracer.enabled and response.trace is not None:
                         # Prepend this request's queue_wait to the trace the
-                        # core built (the registry already has it, above).
+                        # core built (the registry gets it in _record).
                         # Every transport builds a fresh report per response,
                         # so the stage list is this request's own to extend.
                         wait_ms = (started - pending.enqueued) * 1e3
@@ -572,18 +575,25 @@ class MicroBatcher:
                     pending.future.set_exception(exc)
             if not isinstance(exc, Exception):
                 raise  # fatal (KeyboardInterrupt, ...): let _run declare death
-        finally:
-            finished = self._time()
-            self._observe(
-                "observe_flush",
-                num_requests=len(batch),
-                num_pairs=sum(p.weight for p in batch if p.kind in ("score", "serve")),
-                queue_depth=depth,
-                elapsed_ms=(finished - started) * 1e3,
-                num_serves=sum(1 for p in batch if p.kind == "serve"),
-            )
+        return tracer, depth, started, self._time()
+
+    def _record(self, batch: list[_Pending], tracer, depth: int, started: float, finished: float) -> None:
+        """The metrics bookkeeping of one answered flush."""
+        if tracer.enabled:
+            # The time between submission and the flush picking the request
+            # up is the queue_wait stage, timed from the enqueue stamp.
             for pending in batch:
-                self._observe("observe_latency", (finished - pending.enqueued) * 1e3)
+                tracer.record_stage(STAGE_QUEUE_WAIT, (started - pending.enqueued) * 1e3)
+        self._observe(
+            "observe_flush",
+            num_requests=len(batch),
+            num_pairs=sum(p.weight for p in batch if p.kind in ("score", "serve")),
+            queue_depth=depth,
+            elapsed_ms=(finished - started) * 1e3,
+            num_serves=sum(1 for p in batch if p.kind == "serve"),
+        )
+        for pending in batch:
+            self._observe("observe_latency", (finished - pending.enqueued) * 1e3)
 
 
 #: Immediate results for zero-weight submissions, per request kind ("serve"

@@ -280,8 +280,15 @@ class HisRectFeaturizer(Module):
         graph, dropout skipped, rows bit-identical to the ``Tensor`` path.  The module's
         ``training`` flag is never touched, so concurrent callers and a
         featurizer left in training mode get the same rows.
+
+        A single profile is featurized as a pair with itself and the
+        duplicate row dropped: at ``B=1`` BLAS takes its gemv kernels, whose
+        rows drift ~1e-16 from the batched ones, so this keeps every row
+        bit-identical to its value in any batch.
         """
         with inference_mode():
+            if len(profiles) == 1:
+                return self.forward([profiles[0], profiles[0]]).data[:1]
             return self.forward(profiles).data
 
     def featurize_batch(self, profiles: list[Profile]) -> np.ndarray:

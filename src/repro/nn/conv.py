@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.autograd import Tensor, concatenate, read, stack
+from repro.nn.autograd import Tensor, concatenate, read
 from repro.nn.module import Module, Parameter
 
 
@@ -82,20 +82,22 @@ class Conv2D(Module):
     def forward_batch(self, images):
         """Convolve a ``(B, H, W, C_in)`` batch into ``(B, H', W', C_out)``.
 
-        Each output position is one ``(B, fan_in) @ (fan_in, C_out)`` matmul
-        covering the whole batch, so the per-position Python loop is paid once
-        per batch instead of once per image; each row matches :meth:`forward`.
+        One GEMM over every output position of every image (im2col): the
+        ``B * H' * W'`` patches are laid out as the rows of one
+        ``(B * H' * W', fan_in)`` matrix, in the ``(kh, kw, C_in)`` order of
+        the weight, which meets the ``(fan_in, C_out)`` weight once with the
+        bias folded in.  Each row matches :meth:`forward` within 1e-9.
         """
         batch, height, width, channels = images.shape
         out_h, out_w = self._output_size(height, width, channels)
-        weight, bias = read(self.weight, images), read(self.bias, images)
-        positions = []
-        for i in range(out_h):
-            for j in range(out_w):
-                patch = images[:, i : i + self.kernel_height, j : j + self.kernel_width, :]
-                flat = patch.reshape(batch, self.kernel_height * self.kernel_width * channels)
-                positions.append(flat @ weight + bias)
-        grid = stack(positions, axis=1)  # (B, out_h * out_w, C_out)
+        # Column taps first, then row taps: kw + kh slices, not kh * kw.
+        if out_w == 1:  # a full-width filter (TemporalConv): a tap row is an image row
+            columns = images.reshape(batch, height, 1, width * channels)
+        else:
+            columns = concatenate([images[:, :, s : s + out_w] for s in range(self.kernel_width)], axis=3)
+        patches = concatenate([columns[:, r : r + out_h] for r in range(self.kernel_height)], axis=3)
+        flat = patches.reshape(batch * out_h * out_w, self.kernel_height * self.kernel_width * channels)
+        grid = flat @ read(self.weight, images) + read(self.bias, images)
         return grid.reshape(batch, out_h, out_w, self.out_channels)
 
 

@@ -29,8 +29,6 @@ must mask them out when pooling (see :mod:`repro.nn.pooling`).
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from repro.nn.autograd import Tensor, concatenate, lift, read, sigmoid, stack, tanh
@@ -80,17 +78,66 @@ def run_masked(step, sequence, lengths: np.ndarray, states: tuple, reverse: bool
     return stack(outputs, axis=1)
 
 
-def lstm_step(w_x, w_h, bias, x, h, c):
-    """One LSTM step on parameters already read as the kind of ``x`` (see :func:`read`)."""
-    gates = x @ w_x + h @ w_h + bias
-    n = bias.shape[-1] // 4
-    i_gate = sigmoid(gates[..., 0:n])
-    f_gate = sigmoid(gates[..., n : 2 * n])
-    g_gate = tanh(gates[..., 2 * n : 3 * n])
-    o_gate = sigmoid(gates[..., 3 * n : 4 * n])
-    c_next = f_gate * c + i_gate * g_gate
-    h_next = o_gate * tanh(c_next)
-    return h_next, c_next
+def lstm_update(gates, c):
+    """The LSTM state update from ``(..., 4N)`` pre-activation gates.
+
+    The gate block is ordered input, forget, cell, output: one ``sigmoid``
+    covers the whole block (the cell slice of it is unused) and a ``tanh``
+    the cell slice.  Returns ``(h_next, c_next)``.  The scalar
+    :meth:`LSTMCell.forward` and the batch kernel :func:`lstm_layer` share it,
+    so the gate math exists once.
+    """
+    n = c.shape[-1]
+    act = sigmoid(gates)
+    c_next = act[..., n : 2 * n] * c + act[..., 0:n] * tanh(gates[..., 2 * n : 3 * n])
+    return act[..., 3 * n :] * tanh(c_next), c_next
+
+
+def lstm_layer(cells, sequence, lengths: np.ndarray, reverse):
+    """Run ``D`` LSTM directions over one right-padded ``(B, T, M)`` batch.
+
+    ``cells`` holds one :class:`LSTMCell` per direction and ``reverse`` says
+    which of them run backward in time.  The directions step together as one
+    stacked recurrence over a ``(D, B, N)`` state:
+
+    * the input projection of every step and direction is one
+      ``(B*T, M) @ (M, D*4N)`` GEMM with the biases folded in;
+    * each step adds one batched ``(D, B, N) @ (D, N, 4N)`` recurrent matmul
+      and runs :func:`lstm_update`; at step ``k`` a backward direction reads
+      position ``T-1-k``;
+    * a forward row freezes its state past its length, a backward row stays
+      at the zero state until it enters its valid region, and steps where
+      every row of every direction is valid skip the blend.
+
+    Parameters are read on every call (a reload or an optimiser step is seen
+    at once).  Returns the ``D`` per-direction ``(B, T, N)`` hidden-state
+    sequences, of the same kind as ``sequence``.
+    """
+    batch, steps, width = sequence.shape
+    depth, n = len(cells), cells[0].hidden_size
+    w_x = concatenate([read(cell.weight_x, sequence) for cell in cells], axis=1)
+    bias = concatenate([read(cell.bias, sequence) for cell in cells], axis=0)
+    w_h = stack([read(cell.weight_h, sequence) for cell in cells], axis=0)
+    projected = (sequence.reshape(batch * steps, width) @ w_x + bias).reshape(batch, steps, depth, 4 * n)
+    # Step-major inputs (T, D, B, 4N), each direction in its own time order.
+    inputs = stack(
+        [projected[:, ::-1, d] if back else projected[:, :, d] for d, back in enumerate(reverse)], axis=0
+    ).transpose(2, 0, 1, 3)
+    mask = time_mask(lengths, steps)
+    keep = np.stack([mask[:, ::-1] if back else mask for back in reverse]).transpose(2, 0, 1)[..., None]
+    drop = 1.0 - keep
+    all_valid = keep.all(axis=(1, 2, 3)).tolist()
+    h = c = lift(np.zeros((depth, batch, n)), sequence)
+    outputs = [None] * steps
+    for k in range(steps):
+        h_next, c_next = lstm_update(inputs[k] + h @ w_h, c)
+        if all_valid[k]:
+            h, c = h_next, c_next
+        else:
+            h, c = h_next * keep[k] + h * drop[k], c_next * keep[k] + c * drop[k]
+        outputs[k] = h
+    states = stack(outputs, axis=2)  # (D, B, T, N), step order
+    return [states[d, :, ::-1] if back else states[d] for d, back in enumerate(reverse)]
 
 
 class LSTMCell(Module):
@@ -114,13 +161,10 @@ class LSTMCell(Module):
         self.weight_h = Parameter(rng.normal(0.0, std_h, size=(hidden_size, 4 * hidden_size)))
         self.bias = Parameter(np.zeros(4 * hidden_size))
 
-    def params_like(self, x) -> tuple:
-        """``(weight_x, weight_h, bias)`` read as the kind of ``x``."""
-        return read(self.weight_x, x), read(self.weight_h, x), read(self.bias, x)
-
     def forward(self, x, h, c):
         """One step: ``x`` is ``(input_size,)``, ``(1, input_size)`` or ``(B, input_size)``."""
-        return lstm_step(*self.params_like(x), x, h, c)
+        gates = x @ read(self.weight_x, x) + read(self.bias, x) + h @ read(self.weight_h, x)
+        return lstm_update(gates, c)
 
 
 class LSTM(Module):
@@ -156,17 +200,15 @@ class LSTM(Module):
     def forward_batch(self, sequence, lengths: np.ndarray, reverse: bool = False):
         """Run the recurrence over a right-padded ``(B, T, input_size)`` batch.
 
-        Returns the ``(B, T, hidden_size)`` hidden states, of the same kind
-        as ``sequence``.  Rows shorter than ``T`` freeze their state once
-        past ``lengths[b]`` (forward) or stay at the zero initial state until
-        entering the valid region (backward), so outputs at valid positions
-        match :meth:`forward` row by row; outputs at padded positions are
-        filler the caller must mask out.
+        :func:`lstm_layer` with one direction.  Returns the ``(B, T,
+        hidden_size)`` hidden states, of the same kind as ``sequence``.
+        Rows shorter than ``T`` freeze their state once past ``lengths[b]``
+        (forward) or stay at the zero initial state until entering the valid
+        region (backward), so outputs at valid positions match
+        :meth:`forward` row by row within 1e-9; outputs at padded positions
+        are filler the caller must mask out.
         """
-        zero = lift(np.zeros((sequence.shape[0], self.hidden_size)), sequence)
-        # Parameters are read once per sequence, not once per step.
-        step = partial(lstm_step, *self.cell.params_like(sequence))
-        return run_masked(step, sequence, lengths, (zero, zero), reverse=reverse)
+        return lstm_layer([self.cell], sequence, lengths, (reverse,))[0]
 
 
 class BiLSTM(Module):
@@ -214,14 +256,16 @@ class BiLSTM(Module):
     def forward_batch(self, sequence, lengths: np.ndarray, stacked_channels: bool = False):
         """Batched bidirectional pass over a right-padded ``(B, T, M)`` batch.
 
-        Output shape is ``(B, T, 2 * hidden_size)`` (or ``(B, T, hidden_size,
-        2)`` with ``stacked_channels``); valid positions match :meth:`forward`.
+        Each layer is one :func:`lstm_layer` call over both directions, so
+        the two share one input GEMM and one stacked recurrent matmul per
+        step.  Output shape is ``(B, T, 2 * hidden_size)`` (or ``(B, T,
+        hidden_size, 2)`` with ``stacked_channels``); valid positions match
+        :meth:`forward` within 1e-9.
         """
         current = sequence
         fwd = bwd = None
         for fwd_layer, bwd_layer in zip(self.forward_layers, self.backward_layers):
-            fwd = fwd_layer.forward_batch(current, lengths)
-            bwd = bwd_layer.forward_batch(current, lengths, reverse=True)
+            fwd, bwd = lstm_layer([fwd_layer.cell, bwd_layer.cell], current, lengths, (False, True))
             current = concatenate([fwd, bwd], axis=2)
         assert fwd is not None and bwd is not None
         if stacked_channels:

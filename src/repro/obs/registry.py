@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 from typing import Iterable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
@@ -130,11 +131,8 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
-        index = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = i
-                break
+        # The first bucket whose bound is >= value; NaN lands in +Inf.
+        index = bisect_left(self.bounds, value) if value == value else len(self.bounds)
         with self._lock:
             self._counts[index] += 1
             self._sum += value

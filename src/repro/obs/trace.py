@@ -44,8 +44,7 @@ import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from repro.obs.registry import DEFAULT_LATENCY_BUCKETS_MS, MetricsRegistry
 
@@ -86,9 +85,8 @@ STORE_EVENT_METRIC = "repro_store_event_ms"
 _TRACE_IDS = random.Random()
 
 
-@dataclass(frozen=True)
-class Span:
-    """One timed stage inside a trace.
+class Span(NamedTuple):
+    """One timed stage inside a trace (immutable; a tuple, so cheap to make).
 
     ``start_ms`` is relative to the trace's creation (monotonic clock), so
     spans from different processes can sit in one trace without sharing an
@@ -126,27 +124,14 @@ class Trace:
         start: float,
         duration_ms: float,
     ) -> None:
-        span = Span(
-            name=name,
-            duration_ms=duration_ms,
-            span_id=span_id,
-            parent_id=parent_id,
-            start_ms=(start - self._t0) * 1e3,
-        )
+        span = Span(name, duration_ms, span_id, parent_id, (start - self._t0) * 1e3)
         with self._lock:
             self.spans.append(span)
 
     def add(self, name: str, duration_ms: float, parent_id: int | None = None) -> None:
         """Append an externally timed span (e.g. merged from a worker)."""
         with self._lock:
-            self.spans.append(
-                Span(
-                    name=name,
-                    duration_ms=float(duration_ms),
-                    span_id=next(self._ids),
-                    parent_id=parent_id,
-                )
-            )
+            self.spans.append(Span(name, float(duration_ms), next(self._ids), parent_id))
 
     def duration_of(self, name: str) -> float:
         """Total milliseconds recorded under one stage name."""
@@ -331,7 +316,7 @@ class Tracer:
     # ------------------------------------------------------------------ traces
     def start_trace(self, trace_id: str | None = None) -> Trace:
         """A fresh trace (not yet active); pass ``trace_id`` to adopt one."""
-        return Trace(trace_id or f"{_TRACE_IDS.getrandbits(64):016x}", self.clock)
+        return Trace(trace_id or _TRACE_IDS.getrandbits(64).to_bytes(8, "big").hex(), self.clock)
 
     def activate(self, trace: Trace | None) -> "_Activation":
         """Make ``trace`` current for the enclosed block (``None`` = no-op).

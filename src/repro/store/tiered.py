@@ -90,7 +90,7 @@ class TieredStore:
                     EVENT_HOT_HIT, (tracer.clock() - lookup_started) * 1e3
                 )
             return row
-        if self._cold is None:
+        if not self._cold_open():
             return None
         # The arena copies under its own lock (a recycled slot must not tear
         # into the returned row); the hot tier then owns that stable copy.
@@ -139,7 +139,7 @@ class TieredStore:
         return len(self._hot)
 
     def __contains__(self, key: ProfileKey) -> bool:
-        return key in self._hot or (self._cold is not None and key in self._cold)
+        return key in self._hot or (self._cold_open() and key in self._cold)
 
     # ------------------------------------------------------------ invalidation
     def invalidate(self, uids: Iterable[int]) -> int:
@@ -199,7 +199,7 @@ class TieredStore:
                 self._invalidated,
             )
         hot = self._hot.stats()
-        cold_size = len(self._cold) if self._cold is not None else 0
+        cold_size = len(self._cold) if self._cold_open() else 0
         return dataclasses.replace(
             hot,
             hits=hot.hits + cold_hits,

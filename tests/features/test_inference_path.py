@@ -185,6 +185,21 @@ class TestBatchIndependence:
         for row, profile in zip(rows, profiles):
             assert np.array_equal(row, featurizer.featurize([profile, profile])[0])
 
+    @pytest.mark.parametrize("kind", sorted(CONTENT_ENCODERS))
+    @pytest.mark.parametrize("batch_size", [2, 5, 33])
+    def test_row_equals_the_profile_featurized_alone(self, small_registry, kind, batch_size):
+        """A live tweet is featurized on its own; its row must equal its batched row."""
+        vectorizer = build_vectorizer(max_tokens=16)
+        featurizer = featurizer_for(small_registry, vectorizer, content_encoder=kind)
+        counts = np.random.default_rng(batch_size).integers(0, 17, size=batch_size)
+        counts[0] = 16
+        profiles = profiles_with_token_counts(counts.tolist())
+        rows = featurizer.featurize(profiles)
+        for row, profile in zip(rows, profiles):
+            alone = featurizer.featurize([profile])
+            assert alone.shape == (1, featurizer.feature_dim)
+            assert np.array_equal(row, alone[0])
+
 
 class TestServingBuildsNoStepTensors:
     @pytest.mark.parametrize("kind", ["bilstm-c", "bgru"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import MLP, Linear, Tensor
+from repro.nn import MLP, BiLSTM, Linear, TemporalConv, Tensor
 from repro.nn.gradcheck import (
     check_module_gradients,
     check_tensor_gradient,
@@ -84,3 +84,50 @@ class TestModuleGradients:
 
         errors = check_module_gradients(mlp, loss_fn)
         assert max(errors.values()) < 1e-4
+
+
+class TestBatchKernelGradients:
+    """Finite differences for the training half of the one batch definitions.
+
+    The served arrays equal the ``Tensor`` outputs exactly (see
+    ``test_inference_twins.py``); these checks pin that the graph those
+    ``Tensor`` outputs carry differentiates correctly, with respect to the
+    input batch and every parameter, on ragged batches.
+    """
+
+    LENGTHS = np.array([4, 2, 3])  # two rows shorter than T
+
+    @staticmethod
+    def weighted_sum(out, seed):
+        """A scalar loss that weighs every output element differently."""
+        return (out * np.random.default_rng(seed).normal(size=out.shape)).sum()
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_bilstm_forward_batch(self, num_layers, stacked):
+        rng = np.random.default_rng(7)
+        bilstm = BiLSTM(3, 2, num_layers=num_layers, rng=rng)
+        batch = rng.normal(size=(3, 4, 3))
+        batch[1, 2:] = batch[2, 3:] = 0.0  # right padding
+
+        def forward(sequence):
+            out = bilstm.forward_batch(sequence, self.LENGTHS, stacked_channels=stacked)
+            return self.weighted_sum(out, 11)
+
+        errors = check_module_gradients(bilstm, lambda module: forward(Tensor(batch)))
+        assert len(errors) == 6 * num_layers
+        assert max(errors.values()) < 1e-6
+        assert max_gradient_error(forward, batch) < 1e-6
+
+    def test_temporal_conv_forward_batch(self):
+        rng = np.random.default_rng(8)
+        conv = TemporalConv(width=3, kernel_height=3, rng=rng)
+        stacked = rng.normal(size=(2, 5, 3, 2))
+
+        def forward(states):
+            return self.weighted_sum(conv.forward_batch(states).relu(), 12)
+
+        errors = check_module_gradients(conv, lambda module: forward(Tensor(stacked)))
+        assert set(errors) == {"conv.weight", "conv.bias"}
+        assert max(errors.values()) < 1e-6
+        assert max_gradient_error(forward, stacked) < 1e-6

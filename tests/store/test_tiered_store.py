@@ -133,6 +133,16 @@ def test_a_closed_cold_tier_is_skipped_without_raising(tmp_path):
     assert ArenaStore(tmp_path).keys() == [key(1)]  # nothing reached the disk after close
 
 
+def test_a_closed_cold_tier_reports_no_rows_it_cannot_serve(tmp_path):
+    tiered = TieredStore(HotStore(0), ArenaStore(tmp_path))
+    tiered.put(key(1), row(1.0))
+    assert key(1) in tiered and tiered.stats().cold_size == 1
+    tiered.close()
+    assert tiered.get(key(1)) is None
+    assert key(1) not in tiered
+    assert tiered.stats().cold_size == 0
+
+
 def test_export_is_hot_tier_sized(tiered):
     for uid in range(6):  # 6 puts through a 4-row hot tier
         tiered.put(key(uid), row(uid))
