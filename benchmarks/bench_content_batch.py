@@ -15,7 +15,8 @@ property tests in ``tests/features/test_content_batch.py`` pin the same
 contract).  It also times the serving path, ``encode_batch`` inside
 ``inference_mode`` (the same batch definition run on plain arrays), and fails
 unless its rows equal the ``Tensor`` ``encode_batch`` rows exactly.  The headline figure is
-BiLSTM-C at 256 profiles x 16 tokens, guarded at >= 3x.
+BiLSTM-C at 256 profiles x 16 tokens, guarded at >= 3x.  The 1-profile rows
+are the live-serving shape: a stream featurizes one tweet at a time.
 
 Run standalone::
 
@@ -84,7 +85,7 @@ def _served(encoder, profiles: list[Profile]) -> np.ndarray:
 
 
 def _time(fn, *args, repeats: int = 2) -> tuple[float, np.ndarray]:
-    """Best-of-N wall time after one warmup call (steady-state cost)."""
+    """Best-of-``repeats`` wall time after one warmup call (steady-state cost)."""
     result = fn(*args)
     best = float("inf")
     for _ in range(repeats):
@@ -96,7 +97,7 @@ def _time(fn, *args, repeats: int = 2) -> tuple[float, np.ndarray]:
 
 def run(smoke: bool = False) -> str:
     vectorizer = _build_vectorizer()
-    grid = [(8, 8), (16, 16)] if smoke else [(64, 8), (256, 16)]
+    grid = [(1, 8), (8, 8), (16, 16)] if smoke else [(1, 8), (64, 8), (256, 16)]
     lines = [
         f"Benchmark: encode_batch (batched recurrence) vs per-profile loop, "
         f"M = {vectorizer.word_dim}, N = 16" + (" [smoke]" if smoke else ""),
@@ -109,9 +110,10 @@ def run(smoke: bool = False) -> str:
         encoder = make_content_encoder(kind, vectorizer, ContentEncoderConfig(feature_dim=16, seed=3))
         for num_profiles, num_tokens in grid:
             profiles = _build_profiles(num_profiles, num_tokens)
-            loop_s, loop_rows = _time(_scalar_loop, encoder, profiles)
-            batch_s, batch_rows = _time(_batch, encoder, profiles)
-            served_s, served_rows = _time(_served, encoder, profiles)
+            repeats = max(2, 64 // num_profiles)  # sub-millisecond rows need more
+            loop_s, loop_rows = _time(_scalar_loop, encoder, profiles, repeats=repeats)
+            batch_s, batch_rows = _time(_batch, encoder, profiles, repeats=repeats)
+            served_s, served_rows = _time(_served, encoder, profiles, repeats=repeats)
             drift = float(np.abs(loop_rows - batch_rows).max())
             if drift > 1e-9:
                 raise AssertionError(
@@ -123,8 +125,8 @@ def run(smoke: bool = False) -> str:
             if kind == "bilstm-c" and (num_profiles, num_tokens) == HEADLINE_GRID:
                 headline_speedup = speedup
             lines.append(
-                f"{kind:<12} {num_profiles:>8d} {num_tokens:>7d} {loop_s * 1e3:>10.1f} "
-                f"{batch_s * 1e3:>10.1f} {speedup:>7.1f}x {drift:>10.2e} {served_s * 1e3:>10.1f}"
+                f"{kind:<12} {num_profiles:>8d} {num_tokens:>7d} {loop_s * 1e3:>10.2f} "
+                f"{batch_s * 1e3:>10.2f} {speedup:>7.1f}x {drift:>10.2e} {served_s * 1e3:>10.2f}"
             )
         lines.append("")
     if smoke:

@@ -35,11 +35,15 @@ distinct tweet forever.
 * ``encode_batch(profiles)`` — the hot path:
   ``TextVectorizer.vectorize_batch`` right-pads the ``B`` tweets into one
   ``(B, T, M)`` batch with a length vector, the recurrent layers step over
-  time once for the whole batch (``(B, 4N)`` fused gate matmuls instead of
-  ``B`` separate ``(1, 4N)`` calls), and masked mean/attention pooling
-  restricts each row's reduction to its valid positions.  Rows match
-  ``encode`` within 1e-9 (``tests/features/test_content_batch.py`` pins the
-  contract) and do not depend on the other profiles of the batch.  Each
+  time once for the whole batch (the bidirectional LSTM steps both
+  directions together: one input-projection GEMM for all steps, then one
+  stacked ``(2, B, N)`` recurrent matmul per step; see
+  :func:`repro.nn.recurrent.lstm_layer`), BiLSTM-C's convolution is one GEMM
+  over every output position, and masked mean/attention pooling restricts
+  each row's reduction to its valid positions.  Rows match ``encode`` within
+  1e-9 (``tests/features/test_content_batch.py`` pins the contract) and do
+  not depend on the other profiles of the batch
+  (``tests/features/test_inference_path.py::TestBatchIndependence``).  Each
   encoder's ``_encode_batch`` is written once over layers that accept a
   ``Tensor`` or an ``ndarray``: training hands it a ``Tensor`` and gets the
   autograd graph; inside :func:`repro.nn.autograd.inference_mode` it gets

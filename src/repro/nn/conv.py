@@ -24,9 +24,9 @@ from repro.nn.module import Module, Parameter
 class Conv2D(Module):
     """Valid-mode 2-D convolution for channels-last inputs ``(H, W, C_in)``.
 
-    The output has shape ``(H - kh + 1, W - kw + 1, out_channels)``.  The
-    implementation loops over output positions, which is appropriate for the
-    small feature maps of this reproduction (tweets are tens of tokens).
+    The output has shape ``(H - kh + 1, W - kw + 1, out_channels)``.
+    :meth:`forward`, the scalar reference, loops over output positions;
+    :meth:`forward_batch` is one GEMM over all of them.
     """
 
     def __init__(

@@ -11,17 +11,24 @@ Every layer offers two paths:
 * ``forward`` — the scalar reference path over one ``(T, M)`` sequence,
   kept as the documented ground truth for the equivalence tests.
 * ``forward_batch`` — the batch path over a right-padded ``(B, T, M)`` batch
-  with a per-row length vector.  Each time step runs one fused gate matmul of
-  shape ``(B, 4N)`` instead of ``B`` separate ``(1, 4N)`` calls, and rows
-  whose sequence has ended keep (forward direction) or have not yet started
-  (backward direction) a frozen state, so per-row outputs at valid positions
-  match the scalar path within 1e-9 (``tests/nn/test_recurrent_batch.py`` and
-  ``tests/features/test_content_batch.py`` pin the contract).  It is written
-  once over the type-dispatching ops of :mod:`repro.nn.autograd`: training
-  passes a ``Tensor`` and gets the autograd graph, serving passes an
-  ``ndarray`` and runs the same NumPy ops in the same order with no
-  ``Tensor`` built per step, so the two are bit-identical by construction
-  (``tests/nn/test_inference_twins.py`` pins exact equality).
+  with a per-row length vector.  :class:`LSTM` and :class:`BiLSTM` both run
+  :func:`lstm_layer`, one kernel over ``D`` stacked directions (``D = 1`` and
+  ``2``): the input projection of every step and direction is one GEMM
+  hoisted out of the loop, and each step is one batched ``(D, B, N) @ (D, N,
+  4N)`` recurrent matmul plus :func:`lstm_update`, the gate math the scalar
+  :class:`LSTMCell` shares.  Rows whose sequence has ended keep (forward
+  direction) or have not yet started (backward direction) a frozen state, so
+  per-row outputs at valid positions match the scalar path within 1e-9
+  (``tests/nn/test_recurrent_batch.py`` and
+  ``tests/features/test_content_batch.py`` pin the contract).  The GRU and
+  ConvLSTM step one direction at a time through :func:`run_masked`.  Every
+  batch path is written once over the type-dispatching ops of
+  :mod:`repro.nn.autograd`: training passes a ``Tensor`` and gets the
+  autograd graph, serving passes an ``ndarray`` and runs the same NumPy ops in
+  the same order with no ``Tensor`` built per step, so the two are
+  bit-identical by construction (``tests/nn/test_inference_twins.py`` pins
+  exact equality; ``tests/nn/test_gradcheck.py`` checks the graph's gradients
+  against finite differences).
 
 Positions at or beyond a row's length carry frozen/zero filler states; callers
 must mask them out when pooling (see :mod:`repro.nn.pooling`).
@@ -101,7 +108,7 @@ def lstm_layer(cells, sequence, lengths: np.ndarray, reverse):
     stacked recurrence over a ``(D, B, N)`` state:
 
     * the input projection of every step and direction is one
-      ``(B*T, M) @ (M, D*4N)`` GEMM with the biases folded in;
+      ``(T*B, M) @ (M, D*4N)`` GEMM with the biases folded in;
     * each step adds one batched ``(D, B, N) @ (D, N, 4N)`` recurrent matmul
       and runs :func:`lstm_update`; at step ``k`` a backward direction reads
       position ``T-1-k``;
@@ -118,26 +125,30 @@ def lstm_layer(cells, sequence, lengths: np.ndarray, reverse):
     w_x = concatenate([read(cell.weight_x, sequence) for cell in cells], axis=1)
     bias = concatenate([read(cell.bias, sequence) for cell in cells], axis=0)
     w_h = stack([read(cell.weight_h, sequence) for cell in cells], axis=0)
-    projected = (sequence.reshape(batch * steps, width) @ w_x + bias).reshape(batch, steps, depth, 4 * n)
-    # Step-major inputs (T, D, B, 4N), each direction in its own time order.
+    # Time-major rows, so each step's gate inputs are one (B, 4N) block per direction.
+    rows = sequence.transpose(1, 0, 2).reshape(steps * batch, width)
+    projected = (rows @ w_x + bias).reshape(steps, batch, depth, 4 * n)
+    # (D, T, B, 4N): each direction's inputs in its own step order.
     inputs = stack(
-        [projected[:, ::-1, d] if back else projected[:, :, d] for d, back in enumerate(reverse)], axis=0
-    ).transpose(2, 0, 1, 3)
-    mask = time_mask(lengths, steps)
-    keep = np.stack([mask[:, ::-1] if back else mask for back in reverse]).transpose(2, 0, 1)[..., None]
+        [projected[::-1, :, d] if back else projected[:, :, d] for d, back in enumerate(reverse)], axis=0
+    )
+    mask = time_mask(lengths, steps).T  # (T, B)
+    keep = np.stack([mask[::-1] if back else mask for back in reverse], axis=1)[..., None]  # (T, D, B, 1)
     drop = 1.0 - keep
     all_valid = keep.all(axis=(1, 2, 3)).tolist()
     h = c = lift(np.zeros((depth, batch, n)), sequence)
     outputs = [None] * steps
     for k in range(steps):
-        h_next, c_next = lstm_update(inputs[k] + h @ w_h, c)
+        h_next, c_next = lstm_update(inputs[:, k] + h @ w_h, c)
         if all_valid[k]:
             h, c = h_next, c_next
         else:
             h, c = h_next * keep[k] + h * drop[k], c_next * keep[k] + c * drop[k]
         outputs[k] = h
-    states = stack(outputs, axis=2)  # (D, B, T, N), step order
-    return [states[d, :, ::-1] if back else states[d] for d, back in enumerate(reverse)]
+    states = stack(outputs, axis=0)  # (T, D, B, N), step order
+    return [
+        (states[::-1, d] if back else states[:, d]).transpose(1, 0, 2) for d, back in enumerate(reverse)
+    ]
 
 
 class LSTMCell(Module):
