@@ -258,8 +258,8 @@ class ColocationEngine:
     # -------------------------------------------------------------- judgement
     def _score_batched(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         # A single-pair chunk is padded with a duplicate row and the extra
-        # score dropped, for the same reason as featurize_in_chunks: the
-        # B=1 BLAS path drifts ~1e-16 from the batched kernel, and scores
+        # score dropped, for the same reason as HisRectFeaturizer.featurize:
+        # the B=1 BLAS path drifts ~1e-16 from the batched kernel, and scores
         # must not depend on how a workload was chunked or coalesced.
         chunks = []
         for start in range(0, len(left), self.batch_size):

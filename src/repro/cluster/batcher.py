@@ -423,8 +423,8 @@ class MicroBatcher:
                         elif timing is not None and not self._closed:
                             # A caller woken by its answer runs only once this
                             # thread blocks: step aside before the bookkeeping
-                            # so it stays out of their latency.  A submit or
-                            # a close cuts the wait short.
+                            # so it stays out of their latency.  A submit or a
+                            # close can end the wait early.
                             self._wake.wait(_HANDOFF_S)
                 if timing is not None:
                     self._record(batch, *timing)
@@ -497,7 +497,7 @@ class MicroBatcher:
                 return batch, barrier, len(self._queue)
 
     def _flush(self, batch: list[_Pending], depth: int) -> tuple:
-        """Answer one batch; returns ``(tracer, queue depth, started, finished)`` for :meth:`_record`."""
+        """Answer one batch; returns :meth:`_record`'s ``(tracer, depth, started, finished)``."""
         started = self._time()
         tracer = get_tracer()
         try:
@@ -577,7 +577,9 @@ class MicroBatcher:
                 raise  # fatal (KeyboardInterrupt, ...): let _run declare death
         return tracer, depth, started, self._time()
 
-    def _record(self, batch: list[_Pending], tracer, depth: int, started: float, finished: float) -> None:
+    def _record(
+        self, batch: list[_Pending], tracer, depth: int, started: float, finished: float
+    ) -> None:
         """The metrics bookkeeping of one answered flush."""
         if tracer.enabled:
             # The time between submission and the flush picking the request

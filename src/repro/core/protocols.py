@@ -57,21 +57,16 @@ def featurize_in_chunks(featurizer, profiles: "list[Profile]", chunk: int = FEAT
     tweet) and the per-step state arrays of one forward pass.
 
     Feature rows are independent of their chunk companions, including how far
-    the chunk's longest tweet pads them, *except* for single-profile chunks,
-    where BLAS takes a different (gemv) kernel and rows drift by ~1e-16 from
-    their batched values.  A singleton chunk is
-    therefore padded with a duplicate of its profile and the extra row
-    dropped, so every row comes off the batched kernel and any partition of
-    a workload into chunks — including the per-shard miss batches of
+    the chunk's longest tweet pads them (``HisRectFeaturizer.featurize``
+    featurizes a single profile as a pair with itself, so even a one-profile
+    chunk comes off the batched BLAS kernel), so any partition of a workload
+    into chunks — including the per-shard miss batches of
     :class:`repro.cluster.ShardedEngine` — yields bit-identical features.
     """
-    rows = []
-    for start in range(0, len(profiles), chunk):
-        piece = profiles[start : start + chunk]
-        if len(piece) == 1:
-            rows.append(featurizer.featurize([piece[0], piece[0]])[:1])
-        else:
-            rows.append(featurizer.featurize(piece))
+    rows = [
+        featurizer.featurize(profiles[start : start + chunk])
+        for start in range(0, len(profiles), chunk)
+    ]
     return np.concatenate(rows) if rows else np.zeros((0, featurizer_dim(featurizer)))
 
 

@@ -90,13 +90,14 @@ class Conv2D(Module):
         """
         batch, height, width, channels = images.shape
         out_h, out_w = self._output_size(height, width, channels)
+        kh, kw = self.kernel_height, self.kernel_width
         # Column taps first, then row taps: kw + kh slices, not kh * kw.
         if out_w == 1:  # a full-width filter (TemporalConv): a tap row is an image row
             columns = images.reshape(batch, height, 1, width * channels)
         else:
-            columns = concatenate([images[:, :, s : s + out_w] for s in range(self.kernel_width)], axis=3)
-        patches = concatenate([columns[:, r : r + out_h] for r in range(self.kernel_height)], axis=3)
-        flat = patches.reshape(batch * out_h * out_w, self.kernel_height * self.kernel_width * channels)
+            columns = concatenate([images[:, :, s : s + out_w] for s in range(kw)], axis=3)
+        patches = concatenate([columns[:, r : r + out_h] for r in range(kh)], axis=3)
+        flat = patches.reshape(batch * out_h * out_w, kh * kw * channels)
         grid = flat @ read(self.weight, images) + read(self.bias, images)
         return grid.reshape(batch, out_h, out_w, self.out_channels)
 

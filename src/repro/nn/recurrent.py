@@ -11,24 +11,21 @@ Every layer offers two paths:
 * ``forward`` — the scalar reference path over one ``(T, M)`` sequence,
   kept as the documented ground truth for the equivalence tests.
 * ``forward_batch`` — the batch path over a right-padded ``(B, T, M)`` batch
-  with a per-row length vector.  :class:`LSTM` and :class:`BiLSTM` both run
-  :func:`lstm_layer`, one kernel over ``D`` stacked directions (``D = 1`` and
-  ``2``): the input projection of every step and direction is one GEMM
-  hoisted out of the loop, and each step is one batched ``(D, B, N) @ (D, N,
-  4N)`` recurrent matmul plus :func:`lstm_update`, the gate math the scalar
-  :class:`LSTMCell` shares.  Rows whose sequence has ended keep (forward
+  with a per-row length vector.  :class:`LSTM` (one direction) and
+  :class:`BiLSTM` (two) both run :func:`lstm_layer`, which steps the
+  directions together with the input projection hoisted out of the time
+  loop; the GRU and ConvLSTM step one direction at a time through
+  :func:`run_masked`.  Rows whose sequence has ended keep (forward
   direction) or have not yet started (backward direction) a frozen state, so
   per-row outputs at valid positions match the scalar path within 1e-9
   (``tests/nn/test_recurrent_batch.py`` and
-  ``tests/features/test_content_batch.py`` pin the contract).  The GRU and
-  ConvLSTM step one direction at a time through :func:`run_masked`.  Every
-  batch path is written once over the type-dispatching ops of
-  :mod:`repro.nn.autograd`: training passes a ``Tensor`` and gets the
-  autograd graph, serving passes an ``ndarray`` and runs the same NumPy ops in
-  the same order with no ``Tensor`` built per step, so the two are
-  bit-identical by construction (``tests/nn/test_inference_twins.py`` pins
-  exact equality; ``tests/nn/test_gradcheck.py`` checks the graph's gradients
-  against finite differences).
+  ``tests/features/test_content_batch.py`` pin the contract).  It is written
+  once over the type-dispatching ops of :mod:`repro.nn.autograd`: training
+  passes a ``Tensor`` and gets the autograd graph (``tests/nn/test_gradcheck.py``
+  checks its gradients), serving passes an ``ndarray`` and runs the same
+  NumPy ops in the same order with no ``Tensor`` built per step, so the two
+  are bit-identical by construction (``tests/nn/test_inference_twins.py``
+  pins exact equality).
 
 Positions at or beyond a row's length carry frozen/zero filler states; callers
 must mask them out when pooling (see :mod:`repro.nn.pooling`).
@@ -130,10 +127,12 @@ def lstm_layer(cells, sequence, lengths: np.ndarray, reverse):
     projected = (rows @ w_x + bias).reshape(steps, batch, depth, 4 * n)
     # (D, T, B, 4N): each direction's inputs in its own step order.
     inputs = stack(
-        [projected[::-1, :, d] if back else projected[:, :, d] for d, back in enumerate(reverse)], axis=0
+        [projected[::-1, :, d] if back else projected[:, :, d] for d, back in enumerate(reverse)],
+        axis=0,
     )
     mask = time_mask(lengths, steps).T  # (T, B)
-    keep = np.stack([mask[::-1] if back else mask for back in reverse], axis=1)[..., None]  # (T, D, B, 1)
+    # (T, D, B, 1): step k of a backward direction masks position T-1-k.
+    keep = np.stack([mask[::-1] if back else mask for back in reverse], axis=1)[..., None]
     drop = 1.0 - keep
     all_valid = keep.all(axis=(1, 2, 3)).tolist()
     h = c = lift(np.zeros((depth, batch, n)), sequence)
@@ -147,7 +146,8 @@ def lstm_layer(cells, sequence, lengths: np.ndarray, reverse):
         outputs[k] = h
     states = stack(outputs, axis=0)  # (T, D, B, N), step order
     return [
-        (states[::-1, d] if back else states[:, d]).transpose(1, 0, 2) for d, back in enumerate(reverse)
+        (states[::-1, d] if back else states[:, d]).transpose(1, 0, 2)
+        for d, back in enumerate(reverse)
     ]
 
 

@@ -165,11 +165,11 @@ class TestFeatureCache:
         before = engine.cache_info().featurized
         with CountingFeaturizer(fitted_pipeline.featurizer) as counter:
             engine.features([profile, profile, profile])
-        # One distinct profile reaches the featurizer as a single chunk, which
-        # featurize_in_chunks pads to two physical rows (gemv/gemm bitwise
-        # canonicalization); the engine still accounts it as one profile.
+        # One distinct profile reaches featurize as one row (featurize pads a
+        # singleton onto the batched kernel itself); the engine accounts it
+        # as one profile.
         assert engine.cache_info().featurized - before == 1
-        assert counter.rows == 2
+        assert counter.rows == 1
         with CountingFeaturizer(fitted_pipeline.featurizer) as counter:
             engine.features([profile, profile])
         assert counter.rows == 0
