@@ -52,7 +52,10 @@ and both count it — the engine's documented rule for concurrent callers.
 
 Results come back as :class:`concurrent.futures.Future`; the ``score`` /
 ``probability_matrix`` / ``warm`` / ``serve`` convenience wrappers submit
-and wait.
+and wait.  A flush hands out its answers before its metrics bookkeeping:
+a woken caller runs only once the flusher blocks, so the flusher first
+steps aside for at most ``_HANDOFF_S``.  Metrics are therefore complete
+only once the batcher is closed.
 
 The flusher threads are deliberately hard to kill: metrics hooks are
 guarded (a user-supplied ``metrics`` object raising in ``observe_flush`` /

@@ -85,8 +85,9 @@ class Conv2D(Module):
         One GEMM over every output position of every image (im2col): the
         ``B * H' * W'`` patches are laid out as the rows of one
         ``(B * H' * W', fan_in)`` matrix, in the ``(kh, kw, C_in)`` order of
-        the weight, which meets the ``(fan_in, C_out)`` weight once with the
-        bias folded in.  Each row matches :meth:`forward` within 1e-9.
+        the weight, which meets the ``(fan_in, C_out)`` weight once; the bias
+        is added once to the result.  Each row matches :meth:`forward` within
+        1e-9.
         """
         batch, height, width, channels = images.shape
         out_h, out_w = self._output_size(height, width, channels)

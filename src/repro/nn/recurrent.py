@@ -105,7 +105,7 @@ def lstm_layer(cells, sequence, lengths: np.ndarray, reverse):
     stacked recurrence over a ``(D, B, N)`` state:
 
     * the input projection of every step and direction is one
-      ``(T*B, M) @ (M, D*4N)`` GEMM with the biases folded in;
+      ``(T*B, M) @ (M, D*4N)`` GEMM, biases added once to its result;
     * each step adds one batched ``(D, B, N) @ (D, N, 4N)`` recurrent matmul
       and runs :func:`lstm_update`; at step ``k`` a backward direction reads
       position ``T-1-k``;

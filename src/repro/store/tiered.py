@@ -13,8 +13,9 @@ cold-read cost instead of re-featurization cost.
 With ``cold=None`` the tiered store degenerates to the plain hot LRU — the
 default for every transport when no arena directory is configured, with
 byte-identical semantics to the pre-store engine cache.  Once the arena is
-closed, writes, demotions, drops and clears skip it and the hot tier keeps
-serving on its own.
+closed, writes, demotions, drops and clears skip it, lookups, membership
+and ``cold_size`` no longer see its rows, and the hot tier keeps serving
+on its own.
 """
 
 from __future__ import annotations

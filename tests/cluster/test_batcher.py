@@ -268,6 +268,19 @@ class TestMetricsIntegration:
         assert snapshot.latency_p50_ms > 0.0
         assert snapshot.cache is not None
 
+    def test_bookkeeping_of_every_flush_is_done_once_closed(self, engine, test_pairs):
+        """Answers go out before a flush's bookkeeping; close() still waits for all of it."""
+        from repro.obs import STAGE_METRIC, STAGE_QUEUE_WAIT, tracing
+
+        with tracing() as tracer:
+            with MicroBatcher(engine, max_delay_ms=0.0) as batcher:
+                for _ in range(3):
+                    batcher.serve(JudgeRequest(pairs=tuple(test_pairs)))
+        waits = tracer.registry.get(STAGE_METRIC).labels(stage=STAGE_QUEUE_WAIT)
+        assert waits.count == 3
+        snapshot = batcher.metrics.snapshot()
+        assert snapshot.requests == snapshot.serve_requests == snapshot.flushes == 3
+
     def test_serve_requests_are_counted(self, engine, test_pairs):
         with MicroBatcher(engine) as batcher:
             batcher.serve(JudgeRequest(pairs=tuple(test_pairs)))
