@@ -52,10 +52,7 @@ and both count it — the engine's documented rule for concurrent callers.
 
 Results come back as :class:`concurrent.futures.Future`; the ``score`` /
 ``probability_matrix`` / ``warm`` / ``serve`` convenience wrappers submit
-and wait.  A flush hands out its answers before its metrics bookkeeping:
-a woken caller runs only once the flusher blocks, so the flusher first
-steps aside for at most ``_HANDOFF_S``.  Metrics are therefore complete
-only once the batcher is closed.
+and wait.
 
 The flusher threads are deliberately hard to kill: metrics hooks are
 guarded (a user-supplied ``metrics`` object raising in ``observe_flush`` /
@@ -88,9 +85,6 @@ from repro.obs import STAGE_QUEUE_WAIT, get_tracer
 #: the engine while the other collects, routes and scores.  Fixed — deeper
 #: pipelines only queue more calls behind the same engine.
 _FLUSH_DEPTH = 2
-#: Longest an idle flusher defers a finished flush's metrics bookkeeping
-#: while the callers it answered resume.
-_HANDOFF_S = 0.25e-3
 
 
 @dataclass
@@ -402,10 +396,9 @@ class MicroBatcher:
                 taken = self._next_batch()
                 if taken is None:
                     return
-                batch, barrier, depth = taken
-                timing = None
+                batch, barrier = taken
                 try:
-                    timing = self._flush(batch, depth)
+                    self._flush(batch)
                 except Exception as exc:
                     # _flush forwards engine errors to its futures itself;
                     # anything still escaping fails this batch loudly and
@@ -423,14 +416,6 @@ class MicroBatcher:
                             # empty queue has no such flush; a wake-up now
                             # would only cost the callers this flush answered.
                             self._wake.notify()
-                        elif timing is not None and not self._closed:
-                            # A caller woken by its answer runs only once this
-                            # thread blocks: step aside before the bookkeeping
-                            # so it stays out of their latency.  A submit or a
-                            # close can end the wait early.
-                            self._wake.wait(_HANDOFF_S)
-                if timing is not None:
-                    self._record(batch, *timing)
         except BaseException as exc:
             # The flusher is dying (KeyboardInterrupt, MemoryError, ...):
             # leaving the queue silently unserved would hang every waiter.
@@ -451,13 +436,12 @@ class MicroBatcher:
                 pending.future.set_exception(error)
             self._notify_everyone()  # blocked submitters raise, the other flusher exits
 
-    def _next_batch(self) -> tuple[list[_Pending], bool, int] | None:
+    def _next_batch(self) -> tuple[list[_Pending], bool] | None:
         """Block until a flush is due and allowed; take up to ``max_batch``
         work items.
 
-        Returns the batch, whether it is a barrier (it holds an
-        invalidation) and the queue depth it leaves, or ``None`` once the
-        batcher is closed and drained.
+        Returns the batch and whether it is a barrier (it holds an
+        invalidation), or ``None`` once the batcher is closed and drained.
         """
         with self._cond:
             while True:
@@ -497,12 +481,22 @@ class MicroBatcher:
                 if self._queue:
                     self._wake.notify()  # the rest is the other flusher's
                 self._cond.notify_all()  # wake blocked submitters: the queue has room
-                return batch, barrier, len(self._queue)
+                return batch, barrier
 
-    def _flush(self, batch: list[_Pending], depth: int) -> tuple:
-        """Answer one batch; returns :meth:`_record`'s ``(tracer, depth, started, finished)``."""
+    def _flush(self, batch: list[_Pending]) -> None:
+        if not batch:
+            return
+        depth = self.queue_depth
         started = self._time()
         tracer = get_tracer()
+        if tracer.enabled:
+            # The time between submission and this flush picking the request
+            # up is the queue_wait stage — already over by the time any trace
+            # exists, so it is recorded from the pending's enqueue stamp.
+            for pending in batch:
+                tracer.record_stage(
+                    STAGE_QUEUE_WAIT, (started - pending.enqueued) * 1e3
+                )
         try:
             # Invalidations first: a flush is the batcher's unit of ordering,
             # and a mutation queued before (or alongside) a request must win —
@@ -549,7 +543,7 @@ class MicroBatcher:
                 for pending, response in zip(serve_requests, responses):
                     if tracer.enabled and response.trace is not None:
                         # Prepend this request's queue_wait to the trace the
-                        # core built (the registry gets it in _record).
+                        # core built (the registry already has it, above).
                         # Every transport builds a fresh report per response,
                         # so the stage list is this request's own to extend.
                         wait_ms = (started - pending.enqueued) * 1e3
@@ -578,27 +572,18 @@ class MicroBatcher:
                     pending.future.set_exception(exc)
             if not isinstance(exc, Exception):
                 raise  # fatal (KeyboardInterrupt, ...): let _run declare death
-        return tracer, depth, started, self._time()
-
-    def _record(
-        self, batch: list[_Pending], tracer, depth: int, started: float, finished: float
-    ) -> None:
-        """The metrics bookkeeping of one answered flush."""
-        if tracer.enabled:
-            # The time between submission and the flush picking the request
-            # up is the queue_wait stage, timed from the enqueue stamp.
+        finally:
+            finished = self._time()
+            self._observe(
+                "observe_flush",
+                num_requests=len(batch),
+                num_pairs=sum(p.weight for p in batch if p.kind in ("score", "serve")),
+                queue_depth=depth,
+                elapsed_ms=(finished - started) * 1e3,
+                num_serves=sum(1 for p in batch if p.kind == "serve"),
+            )
             for pending in batch:
-                tracer.record_stage(STAGE_QUEUE_WAIT, (started - pending.enqueued) * 1e3)
-        self._observe(
-            "observe_flush",
-            num_requests=len(batch),
-            num_pairs=sum(p.weight for p in batch if p.kind in ("score", "serve")),
-            queue_depth=depth,
-            elapsed_ms=(finished - started) * 1e3,
-            num_serves=sum(1 for p in batch if p.kind == "serve"),
-        )
-        for pending in batch:
-            self._observe("observe_latency", (finished - pending.enqueued) * 1e3)
+                self._observe("observe_latency", (finished - pending.enqueued) * 1e3)
 
 
 #: Immediate results for zero-weight submissions, per request kind ("serve"

@@ -57,11 +57,13 @@ def featurize_in_chunks(featurizer, profiles: "list[Profile]", chunk: int = FEAT
     tweet) and the per-step state arrays of one forward pass.
 
     Feature rows are independent of their chunk companions, including how far
-    the chunk's longest tweet pads them (``HisRectFeaturizer.featurize``
-    featurizes a single profile as a pair with itself, so even a one-profile
-    chunk comes off the batched BLAS kernel), so any partition of a workload
-    into chunks — including the per-shard miss batches of
-    :class:`repro.cluster.ShardedEngine` — yields bit-identical features.
+    the chunk's longest tweet pads them, as long as ``featurize`` keeps a
+    one-profile chunk off BLAS's ``B=1`` (gemv) kernels, whose rows drift
+    ~1e-16 from the batched ones.  ``HisRectFeaturizer.featurize`` does so by
+    featurizing a single profile as a pair with itself; for such a featurizer
+    any partition of a workload into chunks — including the per-shard miss
+    batches of :class:`repro.cluster.ShardedEngine` — yields bit-identical
+    features.  This helper adds no padding of its own.
     """
     rows = [
         featurizer.featurize(profiles[start : start + chunk])

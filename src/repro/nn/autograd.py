@@ -89,6 +89,38 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     return grad.reshape(shape)
 
 
+class _Scatter:
+    """The gradient of an indexing op: ``values`` at ``index`` of a zero array.
+
+    The backward pass adds it into its accumulated full-size gradient in
+    place, so reading ``T`` slices of one tensor (a recurrence reading its
+    hoisted input projection step by step) costs ``O(slice)`` each, not a
+    zero-filled full-size array plus a full-size add per slice.
+    """
+
+    __slots__ = ("index", "values", "basic")
+
+    def __init__(self, index, values: Array):
+        self.index = index
+        self.values = values
+        parts = index if isinstance(index, tuple) else (index,)
+        # Ints and slices cannot repeat a position, so a plain ``+=`` is
+        # exact; array indices may, and go through ``np.add.at``.
+        self.basic = all(
+            part is None
+            or part is Ellipsis
+            or isinstance(part, slice)
+            or (isinstance(part, (int, np.integer)) and not isinstance(part, bool))
+            for part in parts
+        )
+
+    def add_into(self, target: Array) -> None:
+        if self.basic:
+            target[self.index] += self.values
+        else:
+            np.add.at(target, self.index, self.values)
+
+
 class Tensor:
     """A node in the autodiff graph.
 
@@ -196,6 +228,8 @@ class Tensor:
                     stack.append((parent, False))
 
         grads: dict[int, Array] = {id(self): grad}
+        # Gradients this pass allocated itself, so safe to add into in place.
+        owned: set[int] = set()
         for node in reversed(topo):
             node_grad = grads.pop(id(node), None)
             if node_grad is None:
@@ -210,10 +244,18 @@ class Tensor:
             for parent, pgrad in zip(node._parents, parent_grads):
                 if pgrad is None or not parent.requires_grad:
                     continue
-                if id(parent) in grads:
-                    grads[id(parent)] = grads[id(parent)] + pgrad
+                key = id(parent)
+                if isinstance(pgrad, _Scatter):
+                    if key not in owned:
+                        base = grads.get(key)
+                        grads[key] = np.zeros_like(parent.data) if base is None else base.copy()
+                        owned.add(key)
+                    pgrad.add_into(grads[key])
+                elif key in grads:
+                    grads[key] = grads[key] + pgrad
+                    owned.add(key)
                 else:
-                    grads[id(parent)] = pgrad
+                    grads[key] = pgrad
 
     # ------------------------------------------------------------ arithmetic
     def __add__(self, other) -> "Tensor":
@@ -296,9 +338,7 @@ class Tensor:
         data = self.data[index]
 
         def backward(g: Array):
-            full = np.zeros_like(self.data)
-            np.add.at(full, index, g)
-            return (full,)
+            return (_Scatter(index, g),)
 
         return Tensor._make(data, (self,), backward)
 

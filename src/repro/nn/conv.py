@@ -86,17 +86,22 @@ class Conv2D(Module):
         ``B * H' * W'`` patches are laid out as the rows of one
         ``(B * H' * W', fan_in)`` matrix, in the ``(kh, kw, C_in)`` order of
         the weight, which meets the ``(fan_in, C_out)`` weight once; the bias
-        is added once to the result.  Each row matches :meth:`forward` within
+        is added to the result.  Each row matches :meth:`forward` within
         1e-9.
         """
         batch, height, width, channels = images.shape
         out_h, out_w = self._output_size(height, width, channels)
         kh, kw = self.kernel_height, self.kernel_width
-        # Column taps first, then row taps: kw + kh slices, not kh * kw.
-        if out_w == 1:  # a full-width filter (TemporalConv): a tap row is an image row
-            columns = images.reshape(batch, height, 1, width * channels)
-        else:
-            columns = concatenate([images[:, :, s : s + out_w] for s in range(kw)], axis=3)
+        # One (kw, C_in) window per output column, then the kh row taps:
+        # out_w + kh slices, not kh * kw (TemporalConv's full-width filter has
+        # a single output column, so its window is the whole image row).
+        columns = concatenate(
+            [
+                images[:, :, j : j + kw].reshape(batch, height, 1, kw * channels)
+                for j in range(out_w)
+            ],
+            axis=2,
+        )
         patches = concatenate([columns[:, r : r + out_h] for r in range(kh)], axis=3)
         flat = patches.reshape(batch * out_h * out_w, kh * kw * channels)
         grid = flat @ read(self.weight, images) + read(self.bias, images)

@@ -105,10 +105,13 @@ def lstm_layer(cells, sequence, lengths: np.ndarray, reverse):
     stacked recurrence over a ``(D, B, N)`` state:
 
     * the input projection of every step and direction is one
-      ``(T*B, M) @ (M, D*4N)`` GEMM, biases added once to its result;
-    * each step adds one batched ``(D, B, N) @ (D, N, 4N)`` recurrent matmul
-      and runs :func:`lstm_update`; at step ``k`` a backward direction reads
-      position ``T-1-k``;
+      ``(T*B, M) @ (M, D*4N)`` GEMM, the biases added into its result (in
+      place for arrays);
+    * each step gathers its ``(D, B, 4N)`` gate inputs straight out of that
+      ``(T, B, D, 4N)`` projection (no reordered copy of it is made; at step
+      ``k`` a backward direction reads position ``T-1-k``), adds one batched
+      ``(D, B, N) @ (D, N, 4N)`` recurrent matmul and runs
+      :func:`lstm_update`;
     * a forward row freezes its state past its length, a backward row stays
       at the zero state until it enters its valid region, and steps where
       every row of every direction is valid skip the blend.
@@ -124,21 +127,21 @@ def lstm_layer(cells, sequence, lengths: np.ndarray, reverse):
     w_h = stack([read(cell.weight_h, sequence) for cell in cells], axis=0)
     # Time-major rows, so each step's gate inputs are one (B, 4N) block per direction.
     rows = sequence.transpose(1, 0, 2).reshape(steps * batch, width)
-    projected = (rows @ w_x + bias).reshape(steps, batch, depth, 4 * n)
-    # (D, T, B, 4N): each direction's inputs in its own step order.
-    inputs = stack(
-        [projected[::-1, :, d] if back else projected[:, :, d] for d, back in enumerate(reverse)],
-        axis=0,
-    )
-    mask = time_mask(lengths, steps).T  # (T, B)
+    projected = rows @ w_x
+    projected += bias  # in place on an array; a Tensor (no __iadd__) gets a graph node
+    projected = projected.reshape(steps, batch, depth, 4 * n)
+    # (T, D): the position each direction reads at each step.
+    order = np.array([[steps - 1 - k if back else k for back in reverse] for k in range(steps)])
+    directions = np.arange(depth)
     # (T, D, B, 1): step k of a backward direction masks position T-1-k.
-    keep = np.stack([mask[::-1] if back else mask for back in reverse], axis=1)[..., None]
+    keep = time_mask(lengths, steps).T[order][..., None]
     drop = 1.0 - keep
     all_valid = keep.all(axis=(1, 2, 3)).tolist()
     h = c = lift(np.zeros((depth, batch, n)), sequence)
     outputs = [None] * steps
     for k in range(steps):
-        h_next, c_next = lstm_update(inputs[:, k] + h @ w_h, c)
+        gathered = projected[order[k], :, directions]  # (D, B, 4N)
+        h_next, c_next = lstm_update(gathered + h @ w_h, c)
         if all_valid[k]:
             h, c = h_next, c_next
         else:

@@ -269,7 +269,7 @@ class TestMetricsIntegration:
         assert snapshot.cache is not None
 
     def test_bookkeeping_of_every_flush_is_done_once_closed(self, engine, test_pairs):
-        """Answers go out before a flush's bookkeeping; close() still waits for all of it."""
+        """close() returns only once every flush's metrics bookkeeping is recorded."""
         from repro.obs import STAGE_METRIC, STAGE_QUEUE_WAIT, tracing
 
         with tracing() as tracer:
