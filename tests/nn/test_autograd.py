@@ -78,6 +78,25 @@ class TestMatmulAndShapes:
     def test_getitem(self):
         check_gradient(lambda t: (t[1:3, :2] * 2.0).sum(), (4, 3))
 
+    def test_overlapping_slices_and_a_dense_use_of_one_tensor(self):
+        def loss(t):
+            return (t[0:3] * t[1:4]).sum() + (t[2] ** 2).sum() + (t * 0.5).sum()
+
+        check_gradient(loss, (4, 3))
+
+    def test_fancy_index_with_repeated_positions(self):
+        check_gradient(lambda t: (t[[0, 2, 0], 1:] ** 2).sum(), (3, 3))
+
+    def test_slice_gradient_leaves_a_gradient_shared_with_another_tensor_alone(self):
+        # The adds hand ``t`` and ``u`` the same gradient array, and ``t[0]``'s
+        # gradient arrives before ``u`` is done: it must not be added into
+        # that shared array in place.
+        t = Tensor(np.ones((2, 2)), requires_grad=True)
+        u = Tensor(np.ones((2, 2)), requires_grad=True)
+        (t + (t[0] + u)).sum().backward()
+        np.testing.assert_array_equal(u.grad, np.ones((2, 2)))
+        np.testing.assert_array_equal(t.grad, [[3.0, 3.0], [1.0, 1.0]])
+
     def test_concatenate(self):
         def loss(t):
             return (concatenate([t, t * 2.0], axis=0) ** 2).sum()
