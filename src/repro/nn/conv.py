@@ -86,7 +86,7 @@ class Conv2D(Module):
         ``B * H' * W'`` patches are laid out as the rows of one
         ``(B * H' * W', fan_in)`` matrix, in the ``(kh, kw, C_in)`` order of
         the weight, which meets the ``(fan_in, C_out)`` weight once; the bias
-        is added to the result.  Each row matches :meth:`forward` within
+        is added once to the result.  Each row matches :meth:`forward` within
         1e-9.
         """
         batch, height, width, channels = images.shape
