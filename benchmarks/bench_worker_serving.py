@@ -12,10 +12,11 @@ Zipf-skewed request stream as ``bench_sharded_serving.py``, and serves it
 cold through the single engine, the thread tier, and the process tier with
 the same total cache budget.  It asserts the serving contract everywhere:
 
-* worker-pool ``predict_proba`` matches the single engine **bit-for-bit**
-  (save/load restores exactly; the wire gather contributes nothing);
-* micro-batched worker results drift only by coalescing noise (<= 1e-12);
-* typed serve responses agree across all four transports;
+* each tier's direct ``predict_proba`` and ``serve`` match the single engine
+  **bit-for-bit** (save/load restores exactly; the wire gather contributes
+  nothing);
+* each tier's micro-batched scores and ``submit_serve`` responses drift only
+  by coalescing noise (<= 1e-12), with thresholds and decisions kept;
 * after ``close()``, no worker process survives (the no-orphans check).
 
 On a multi-core host the full run also enforces the headline: the process
@@ -74,28 +75,21 @@ def run(smoke: bool = False) -> str:
         report.format(),
         "",
     ]
-    if not report.workers_exact:
-        raise AssertionError("worker-pool probabilities diverged from the single engine")
-    if report.workers_drift > 1e-12:
-        raise AssertionError(
-            f"worker-tier coalescing drifted by {report.workers_drift:.2e} "
-            "(expected last-mantissa-bit noise only)"
-        )
-    if not report.serve_exact or not report.workers_serve_exact:
-        raise AssertionError("typed serve responses diverged across the four transports")
+    failures = report.failures()
+    if failures:
+        raise AssertionError("; ".join(failures))
     # No-orphans check: compare_serving_paths closed the pool on exit; any
     # worker process still alive here escaped the lifecycle.
     orphans = multiprocessing.active_children()
     if orphans:
         raise AssertionError(f"worker processes survived close(): {orphans}")
+    threads, processes = (tier.run for tier in report.tiers)
     thread_vs_process = (
-        report.cluster.elapsed_s / report.workers.elapsed_s
-        if report.workers.elapsed_s > 0
-        else float("inf")
+        threads.elapsed_s / processes.elapsed_s if processes.elapsed_s > 0 else float("inf")
     )
     lines.append(
-        f"thread tier {report.cluster.elapsed_s:.3f}s vs process tier "
-        f"{report.workers.elapsed_s:.3f}s -> {thread_vs_process:.2f}x on {cores} cores"
+        f"thread tier {threads.elapsed_s:.3f}s vs process tier "
+        f"{processes.elapsed_s:.3f}s -> {thread_vs_process:.2f}x on {cores} cores"
     )
     if smoke:
         lines.append(
@@ -110,8 +104,8 @@ def run(smoke: bool = False) -> str:
         )
         if thread_vs_process < 1.0:
             raise AssertionError(
-                f"process tier ({report.workers.elapsed_s:.3f}s) slower than the "
-                f"thread tier ({report.cluster.elapsed_s:.3f}s) on {cores} cores"
+                f"process tier ({processes.elapsed_s:.3f}s) slower than the "
+                f"thread tier ({threads.elapsed_s:.3f}s) on {cores} cores"
             )
     else:
         lines.append(

@@ -226,46 +226,10 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         trace=args.trace,
     )
     print(report.format())
-    if not report.exact_match:
-        print("error: sharded probabilities diverged from the single engine", file=sys.stderr)
-        return 1
-    if report.coalescing_drift > 1e-12:
-        # The same bound the benchmark enforces: coalescing may flip the
-        # last mantissa bit, never more.
-        print(
-            f"error: micro-batch coalescing drifted by {report.coalescing_drift:.2e}",
-            file=sys.stderr,
-        )
-        return 1
-    if not report.serve_exact:
-        print("error: typed serve responses diverged across the serving paths", file=sys.stderr)
-        return 1
-    if report.serve_drift > 1e-12:
-        print(
-            f"error: batched serve drifted by {report.serve_drift:.2e}",
-            file=sys.stderr,
-        )
-        return 1
-    if report.workers is not None:
-        if not report.workers_exact:
-            print(
-                "error: worker-pool probabilities diverged from the single engine",
-                file=sys.stderr,
-            )
-            return 1
-        if report.workers_drift > 1e-12:
-            print(
-                f"error: worker-tier coalescing drifted by {report.workers_drift:.2e}",
-                file=sys.stderr,
-            )
-            return 1
-        if not report.workers_serve_exact:
-            print(
-                "error: worker-pool serve responses diverged from the single engine",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
+    failures = report.failures()
+    for failure in failures:
+        print(f"error: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _traced_serve(engine, serve_requests):

@@ -37,8 +37,10 @@ accounting exist exactly once; parity is pinned by
   counters, worker death/respawn incidents and latency percentiles in one
   thread-safe snapshot.
 
-:mod:`repro.cluster.loadgen` carries the skewed load generator behind
-``benchmarks/bench_sharded_serving.py`` and the CLI's ``serve-bench``.
+:mod:`repro.cluster.loadgen` carries the skewed load generator and the
+single-vs-partitioned comparison (one timed pass and one set of parity checks
+per tier) behind ``benchmarks/bench_sharded_serving.py``,
+``benchmarks/bench_worker_serving.py`` and the CLI's ``serve-bench``.
 """
 
 from repro.cluster.batcher import MicroBatcher

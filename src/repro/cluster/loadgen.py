@@ -1,8 +1,8 @@
-"""Skewed serving-load generator and the single-vs-sharded throughput harness.
+"""Skewed serving-load generator and the single-vs-partitioned serving harness.
 
-The shared core behind ``benchmarks/bench_sharded_serving.py`` and the CLI's
-``serve-bench`` subcommand.  It models the streaming workload every service
-produces:
+The shared core behind ``benchmarks/bench_sharded_serving.py``,
+``benchmarks/bench_worker_serving.py`` and the CLI's ``serve-bench``
+subcommand.  It models the streaming workload every service produces:
 
 * each request is one user's *fresh* profile (a new tweet — always a cold
   featurization, exactly as in a live stream) scored against a handful of
@@ -12,21 +12,21 @@ produces:
   does — which is precisely what per-flush deduplication and per-user shard
   caches exploit.
 
-Two serving paths run the *same* request sequence from a cold cache:
+The *same* request sequence runs from a cold cache through the single
+engine — one synchronous ``predict_proba`` call per request on one
+:class:`repro.api.ColocationEngine` (caller-sized batches) — and then
+through each partitioned tier behind a :class:`repro.cluster.MicroBatcher`
+that coalesces concurrent requests, with the same *total* cache budget:
 
-* **single** — today's synchronous path: one ``predict_proba`` call per
-  request on one :class:`repro.api.ColocationEngine` (caller-sized batches);
-* **cluster** — a :class:`repro.cluster.MicroBatcher` coalescing concurrent
-  requests over a :class:`repro.cluster.ShardedEngine`, with the same *total*
-  cache budget;
-* **workers** (``num_workers`` set) — the same micro-batcher over a
-  :class:`repro.cluster.WorkerPool`, so featurization leaves the GIL and runs
-  in worker *processes* — the tier that scales with cores.
+* **sharded** — a :class:`repro.cluster.ShardedEngine` (shard threads);
+* **workers** (``num_workers`` set) — a :class:`repro.cluster.WorkerPool`,
+  so featurization leaves the GIL and runs in worker *processes* — the tier
+  that scales with cores.
 
-The harness also pins correctness: the sharded engine's direct
-``predict_proba`` must match the single engine bit-for-bit, and the
-micro-batched results may differ only by last-mantissa-bit coalescing noise
-(one BLAS call of a different shape).
+Every tier gets the same correctness checks against the single engine:
+direct ``predict_proba`` and ``serve`` match bit-for-bit, and micro-batched
+results differ only by last-mantissa-bit coalescing noise (one BLAS call of
+a different shape, at most :data:`DRIFT_BOUND`).
 """
 
 from __future__ import annotations
@@ -42,12 +42,21 @@ from repro.api.engine import EngineCacheInfo
 from repro.cluster.batcher import MicroBatcher
 from repro.cluster.gateway import WorkerPool
 from repro.cluster.metrics import ClusterMetricsSnapshot
-from repro.cluster.sharded import ShardedEngine
+from repro.cluster.sharded import PartitionedEngine, ShardedEngine
 from repro.data.records import Pair, Profile, Tweet, Visit
 from repro.errors import ConfigurationError
 from repro.obs import format_stage_table, tracing
 
+#: Largest |Δ probability| micro-batch coalescing may introduce: flushing many
+#: requests as one BLAS call of a different shape may flip the last mantissa
+#: bit (~1e-16), never more.
+DRIFT_BOUND = 1e-12
 
+#: Queue bound of the timed micro-batched passes (``overflow="block"``).
+MAX_QUEUE = 512
+
+#: Requests sampled from the stream for the typed-serve checks.
+SERVE_SAMPLES = 24
 @dataclass(frozen=True)
 class LoadConfig:
     """Shape of the synthetic serving load."""
@@ -186,23 +195,25 @@ def run_single(
     )
 
 
-def run_cluster(
-    engine: ShardedEngine,
+def run_batched(
+    engine: PartitionedEngine,
     requests: list[list[Pair]],
     *,
+    label: str,
     max_batch: int = 256,
     max_delay_ms: float = 0.0,
-    max_queue: int = 512,
     trace: bool = False,
 ) -> tuple[ServingRun, list[np.ndarray], ClusterMetricsSnapshot]:
-    """The cluster path: concurrent submissions coalesced by a MicroBatcher.
+    """Concurrent submissions coalesced by a MicroBatcher over ``engine``.
 
     Requests are submitted as fast as the bounded queue admits them
     (``overflow="block"`` backpressure), so the batcher coalesces whatever
     accumulates while its flushes (at most two at a time) are in flight —
     the steady state of a busy service.  The tracing scope encloses the
     batcher's whole lifetime so the flusher threads' ``queue_wait`` records
-    land in the run's registry.
+    land in the run's registry; a :class:`WorkerPool`'s stage table also
+    merges every worker's ``stats`` snapshot (``gather``, ``featurize``) via
+    :meth:`WorkerPool.obs_snapshot`.
     """
     stages = None
     with tracing() if trace else nullcontext() as tracer:
@@ -210,7 +221,7 @@ def run_cluster(
             engine,
             max_batch=max_batch,
             max_delay_ms=max_delay_ms,
-            max_queue=max_queue,
+            max_queue=MAX_QUEUE,
             overflow="block",
         ) as batcher:
             started = time.perf_counter()
@@ -218,13 +229,14 @@ def run_cluster(
             results = [future.result() for future in futures]
             elapsed = time.perf_counter() - started
         if trace:
-            stages = format_stage_table(tracer.registry)
+            registry = engine.obs_snapshot() if isinstance(engine, WorkerPool) else tracer.registry
+            stages = format_stage_table(registry)
     # Snapshot after close(), which joins the flushers: every flush has
     # recorded its metrics by then.
     snapshot = batcher.metrics.snapshot()
     return (
         ServingRun(
-            label=f"sharded x{engine.num_shards} + micro-batch",
+            label=label,
             elapsed_s=elapsed,
             requests=len(requests),
             pairs=sum(len(r) for r in requests),
@@ -236,135 +248,76 @@ def run_cluster(
     )
 
 
-def run_workers(
-    pool: WorkerPool,
-    requests: list[list[Pair]],
-    *,
-    max_batch: int = 256,
-    max_delay_ms: float = 0.0,
-    max_queue: int = 512,
-    trace: bool = False,
-) -> tuple[ServingRun, list[np.ndarray], ClusterMetricsSnapshot]:
-    """The process tier: the same micro-batched submission over a WorkerPool.
+@dataclass(frozen=True)
+class TierReport:
+    """One partitioned tier's timed run and its parity against the single engine."""
 
-    Identical batching knobs to :func:`run_cluster`, so the only variable is
-    the transport underneath — shard threads vs. worker processes.  A traced
-    run's stage table merges the gateway-side registry (``queue_wait``,
-    ``wire_serialize``, ``wire_rtt``, ``score``) with every worker's
-    ``stats`` snapshot (``gather``, ``featurize``) via
-    :meth:`WorkerPool.obs_snapshot`.
-    """
-    stages = None
-    with tracing() if trace else nullcontext():
-        with MicroBatcher(
-            pool,
-            max_batch=max_batch,
-            max_delay_ms=max_delay_ms,
-            max_queue=max_queue,
-            overflow="block",
-        ) as batcher:
-            started = time.perf_counter()
-            futures = [batcher.submit_score(pairs) for pairs in requests]
-            results = [future.result() for future in futures]
-            elapsed = time.perf_counter() - started
-        if trace:
-            stages = format_stage_table(pool.obs_snapshot())
-    snapshot = batcher.metrics.snapshot()
-    return (
-        ServingRun(
-            label=f"workers x{pool.num_workers} + micro-batch",
-            elapsed_s=elapsed,
-            requests=len(requests),
-            pairs=sum(len(r) for r in requests),
-            cache=pool.cache_info(),
-            stages=stages,
-        ),
-        results,
-        snapshot,
-    )
+    run: ServingRun
+    #: The micro-batcher's metrics after the timed run.
+    metrics: ClusterMetricsSnapshot
+    #: Direct ``predict_proba`` agrees bit-for-bit with the single engine on
+    #: every request (partitioning and the wire contribute nothing).
+    exact: bool
+    #: Largest |Δ probability| between the micro-batched results and the
+    #: single engine (coalescing noise, bounded by :data:`DRIFT_BOUND`).
+    drift: float
+    #: Direct ``serve`` matches the single engine bit-for-bit (probabilities,
+    #: decisions, threshold), and ``submit_serve`` through a micro-batcher
+    #: keeps thresholds and decisions except where a probability sits within
+    #: coalescing drift of an explicit threshold.
+    serve_exact: bool
+    #: Largest |Δ probability| between ``submit_serve`` responses and the
+    #: single engine's serve.
+    serve_drift: float
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Single-vs-cluster throughput over the same cold-cache request sequence."""
+    """The single engine against every partitioned tier, same cold request sequence."""
 
     single: ServingRun
-    cluster: ServingRun
-    metrics: ClusterMetricsSnapshot
-    #: ``ShardedEngine.predict_proba`` agrees bit-for-bit with the single
-    #: engine on every request (checked on a fresh, cold sharded engine).
-    exact_match: bool
-    #: Largest |Δ probability| between the micro-batched results and the
-    #: single engine.  Coalescing flushes many requests as one BLAS call of a
-    #: different shape, which may flip the last mantissa bit (~1e-16); the
-    #: sharding itself contributes nothing (see ``exact_match``).
-    coalescing_drift: float
-    #: The typed ``serve`` path agrees across all three transports: the
-    #: sharded engine's direct serve matches the single engine bit-for-bit
-    #: (probabilities, decisions and thresholds), and decisions through the
-    #: micro-batcher's ``submit_serve`` match except where a probability
-    #: sits within coalescing drift of an explicit threshold.
-    serve_exact: bool
-    #: Largest |Δ probability| between ``submit_serve`` responses and the
-    #: single engine's serve (the serve twin of ``coalescing_drift``).
-    serve_drift: float
-    #: The process tier's run (``None`` unless ``num_workers`` was set).
-    workers: ServingRun | None = None
-    #: ``WorkerPool.predict_proba`` agrees bit-for-bit with the single engine
-    #: on every request (the wire gather contributes nothing).
-    workers_exact: bool | None = None
-    #: Largest |Δ probability| between the micro-batched worker results and
-    #: the single engine (the process twin of ``coalescing_drift``).
-    workers_drift: float | None = None
-    #: Direct ``WorkerPool.serve`` matches the single engine bit-for-bit.
-    workers_serve_exact: bool | None = None
+    tiers: tuple[TierReport, ...]
 
-    @property
-    def speedup(self) -> float:
-        return (
-            self.single.elapsed_s / self.cluster.elapsed_s
-            if self.cluster.elapsed_s > 0
-            else float("inf")
-        )
+    def speedup(self, tier: TierReport) -> float:
+        """The tier's throughput over the single engine's."""
+        elapsed = tier.run.elapsed_s
+        return self.single.elapsed_s / elapsed if elapsed > 0 else float("inf")
 
-    @property
-    def workers_speedup(self) -> float | None:
-        if self.workers is None:
-            return None
-        return (
-            self.single.elapsed_s / self.workers.elapsed_s
-            if self.workers.elapsed_s > 0
-            else float("inf")
-        )
+    def failures(self) -> list[str]:
+        """One message per broken parity check, naming its tier; empty when clean."""
+        failures = []
+        for tier in self.tiers:
+            label = tier.run.label
+            if not tier.exact:
+                failures.append(f"{label}: probabilities diverged from the single engine")
+            if tier.drift > DRIFT_BOUND:
+                failures.append(f"{label}: micro-batch coalescing drifted by {tier.drift:.2e}")
+            if not tier.serve_exact:
+                failures.append(f"{label}: typed serve responses diverged from the single engine")
+            if tier.serve_drift > DRIFT_BOUND:
+                failures.append(f"{label}: batched serve drifted by {tier.serve_drift:.2e}")
+        return failures
 
     def format(self) -> str:
+        runs = [self.single] + [tier.run for tier in self.tiers]
         lines = [
             f"{'path':<28} {'elapsed s':>10} {'req/s':>10} {'pairs/s':>10} {'hit_rate':>9}",
         ]
-        runs = [self.single, self.cluster] + ([self.workers] if self.workers else [])
         for run in runs:
             lines.append(
                 f"{run.label:<28} {run.elapsed_s:>10.3f} {run.requests_per_s:>10.1f} "
                 f"{run.pairs_per_s:>10.1f} {run.cache.hit_rate:>9.3f}"
             )
-        lines.append("")
-        lines.append(
-            f"throughput speedup: {self.speedup:.2f}x  "
-            f"(sharded probabilities bit-for-bit: {'yes' if self.exact_match else 'NO'}, "
-            f"micro-batch coalescing drift: {self.coalescing_drift:.1e})"
-        )
-        lines.append(
-            f"serve parity: exact={'yes' if self.serve_exact else 'NO'} "
-            f"batched-serve drift: {self.serve_drift:.1e}"
-        )
-        if self.workers is not None:
+        for tier in self.tiers:
+            lines.append("")
             lines.append(
-                f"process tier: speedup={self.workers_speedup:.2f}x "
-                f"bit-for-bit: {'yes' if self.workers_exact else 'NO'} "
-                f"drift: {self.workers_drift:.1e} "
-                f"serve exact: {'yes' if self.workers_serve_exact else 'NO'}"
+                f"{tier.run.label}: speedup {self.speedup(tier):.2f}x  "
+                f"bit-for-bit: {'yes' if tier.exact else 'NO'}  "
+                f"drift: {tier.drift:.1e}  "
+                f"serve exact: {'yes' if tier.serve_exact else 'NO'}  "
+                f"serve drift: {tier.serve_drift:.1e}"
             )
-        lines.append(self.metrics.format())
+            lines.append(tier.metrics.format())
         for run in runs:
             if run.stages is not None:
                 lines.append("")
@@ -381,120 +334,118 @@ def compare_serving_paths(
     cache_size: int = 4096,
     max_batch: int = 256,
     max_delay_ms: float = 0.0,
-    max_queue: int = 512,
     num_workers: int | None = None,
     trace: bool = False,
 ) -> ComparisonReport:
-    """Run both serving paths cold and compare throughput and results.
+    """Run the single engine and each partitioned tier cold and compare them.
 
     ``trace=True`` runs every timed pass under a scoped tracer and attaches
     per-stage latency tables to the report; the default keeps the headline
     numbers untraced (tracing costs a few percent of throughput at most,
     but the benchmark guards compare against historical untraced numbers).
 
-    Three passes: the single engine (throughput baseline), the micro-batched
-    cluster (throughput), and an un-timed direct pass over a fresh cold
-    :class:`ShardedEngine` pinning the bit-for-bit contract without the
-    batcher's shape-dependent coalescing in the way.  With ``num_workers``
-    set, a fourth pass runs the same micro-batched load over a cold
-    :class:`WorkerPool` (the process tier) and pins its parity too.
+    The single engine's timed pass is the throughput baseline; then the
+    sharded tier, and with ``num_workers`` set the process tier, each run
+    :func:`_measure_tier`: a timed micro-batched pass followed by un-timed
+    parity passes on the same engine (rows do not depend on cache state).
 
-    Every engine is constructed — and every shard's judge replica
-    deep-copied — *before* the first pass runs: the judge's internal
+    The sharded engine is constructed — and every shard's judge replica
+    deep-copied — *before* the single pass runs: the judge's internal
     featurizer caches (history cache, text-vectorizer LRU) warm up during
-    the single-engine pass, and replicas copied afterwards would inherit
-    that warmth and fake part of the cluster's speedup.  (Worker processes
-    are immune: they rebuild the judge from the saved bundle.)
+    that pass, and replicas copied afterwards would inherit that warmth and
+    fake part of the sharded speedup.  (Worker processes are immune: they
+    rebuild the judge from the saved bundle.)
     """
     single_engine = ColocationEngine(judge, cache_size=cache_size)
-    with ShardedEngine(judge, num_shards=num_shards, cache_size=cache_size) as sharded, ShardedEngine(
-        judge, num_shards=num_shards, cache_size=cache_size
-    ) as fresh:
+    with ShardedEngine(judge, num_shards=num_shards, cache_size=cache_size) as sharded:
         single, single_results = run_single(single_engine, requests, trace=trace)
-        cluster, cluster_results, snapshot = run_cluster(
-            sharded,
-            requests,
-            max_batch=max_batch,
-            max_delay_ms=max_delay_ms,
-            max_queue=max_queue,
-            trace=trace,
-        )
-        drift = max(
-            (
-                (float(np.abs(a - b).max()) if len(a) else 0.0)
-                for a, b in zip(single_results, cluster_results)
-            ),
-            default=0.0,
-        )
-        exact = all(
-            np.array_equal(single_result, fresh.predict_proba(pairs))
-            for single_result, pairs in zip(single_results, requests)
-        )
-        serve_exact, serve_drift = _serve_parity(
-            single_engine,
-            fresh,
-            sharded,
-            requests,
-            max_batch=max_batch,
-            max_queue=max_queue,
-        )
-    workers = workers_exact = workers_drift = workers_serve_exact = None
+        step = max(1, len(requests) // SERVE_SAMPLES)
+        serve_requests = [
+            JudgeRequest(pairs=tuple(pairs), threshold=(None if index % 2 == 0 else 0.4))
+            for index, pairs in enumerate(requests[::step])
+        ]
+        expected = (single_results, serve_requests, list(map(single_engine.serve, serve_requests)))
+        options = {"max_batch": max_batch, "max_delay_ms": max_delay_ms, "trace": trace}
+        label = f"sharded x{num_shards} + micro-batch"
+        tiers = [_measure_tier(sharded, label, requests, expected, **options)]
     if num_workers is not None:
         with WorkerPool(judge, num_workers=num_workers, cache_size=cache_size) as pool:
-            workers, worker_results, _ = run_workers(
-                pool,
-                requests,
-                max_batch=max_batch,
-                max_delay_ms=max_delay_ms,
-                max_queue=max_queue,
-                trace=trace,
-            )
-            workers_drift = max(
-                (
-                    (float(np.abs(a - b).max()) if len(a) else 0.0)
-                    for a, b in zip(single_results, worker_results)
-                ),
-                default=0.0,
-            )
-            # Un-timed direct passes (results are cache-state independent):
-            # the wire gather must contribute nothing to the probabilities,
-            # and the pool's typed serve must match the single engine.
-            workers_exact = all(
-                np.array_equal(single_result, pool.predict_proba(pairs))
-                for single_result, pairs in zip(single_results, requests)
-            )
-            step = max(1, len(requests) // 24)
-            sample = [
-                JudgeRequest(pairs=tuple(pairs), threshold=(None if index % 2 == 0 else 0.4))
-                for index, pairs in enumerate(requests[::step])
-            ]
-            workers_serve_exact = all(
-                got.probabilities == expected.probabilities
-                and got.decisions == expected.decisions
-                and got.threshold == expected.threshold
-                for got, expected in zip(
-                    (pool.serve(request) for request in sample),
-                    (single_engine.serve(request) for request in sample),
-                )
-            )
-    return ComparisonReport(
-        single=single,
-        cluster=cluster,
-        metrics=snapshot,
-        exact_match=exact,
-        coalescing_drift=drift,
+            label = f"workers x{num_workers} + micro-batch"
+            tiers.append(_measure_tier(pool, label, requests, expected, **options))
+    return ComparisonReport(single=single, tiers=tuple(tiers))
+
+
+def _measure_tier(
+    engine: PartitionedEngine,
+    label: str,
+    requests: list[list[Pair]],
+    expected: tuple[list[np.ndarray], list[JudgeRequest], list[JudgeResponse]],
+    *,
+    max_batch: int,
+    max_delay_ms: float,
+    trace: bool,
+) -> TierReport:
+    """The timed micro-batched pass, then the four parity checks, on one engine.
+
+    ``expected`` is the single engine's ``(results, serve requests, serve
+    responses)``.  The serve sample alternates default and explicit
+    per-request thresholds.  Its batched pass goes through ``submit_serve``;
+    decisions there must match modulo a threshold graze (see
+    :func:`_decisions_match_modulo_drift`).
+    """
+    single_results, serve_requests, single_responses = expected
+    run, results, metrics = run_batched(
+        engine,
+        requests,
+        label=label,
+        max_batch=max_batch,
+        max_delay_ms=max_delay_ms,
+        trace=trace,
+    )
+    exact = all(
+        np.array_equal(single_result, engine.predict_proba(pairs))
+        for single_result, pairs in zip(single_results, requests)
+    )
+    serve_exact = all(
+        direct.probabilities == single.probabilities
+        and direct.decisions == single.decisions
+        and direct.threshold == single.threshold
+        for direct, single in zip(map(engine.serve, serve_requests), single_responses)
+    )
+    with MicroBatcher(
+        engine, max_batch=max_batch, max_queue=MAX_QUEUE, overflow="block"
+    ) as batcher:
+        futures = [batcher.submit_serve(request) for request in serve_requests]
+        batched_responses = [future.result() for future in futures]
+    serve_exact = serve_exact and all(
+        batched.threshold == single.threshold and _decisions_match_modulo_drift(batched, single)
+        for batched, single in zip(batched_responses, single_responses)
+    )
+    return TierReport(
+        run=run,
+        metrics=metrics,
+        exact=exact,
+        drift=_max_drift(single_results, results),
         serve_exact=serve_exact,
-        serve_drift=serve_drift,
-        workers=workers,
-        workers_exact=workers_exact,
-        workers_drift=workers_drift,
-        workers_serve_exact=workers_serve_exact,
+        serve_drift=_max_drift(
+            [single.probabilities for single in single_responses],
+            [batched.probabilities for batched in batched_responses],
+        ),
     )
 
 
-def _decisions_match_modulo_drift(
-    batched: JudgeResponse, expected: JudgeResponse, drift_bound: float = 1e-12
-) -> bool:
+def _max_drift(expected, got) -> float:
+    """Largest |Δ| between two aligned sequences of probability vectors."""
+    return max(
+        (
+            float(np.abs(np.subtract(a, b)).max()) if len(a) else 0.0
+            for a, b in zip(expected, got)
+        ),
+        default=0.0,
+    )
+
+
+def _decisions_match_modulo_drift(batched: JudgeResponse, expected: JudgeResponse) -> bool:
     """Coalesced decisions must match except at an exact threshold graze.
 
     Explicit-threshold decisions cut the coalesced probabilities, so a pair
@@ -504,72 +455,8 @@ def _decisions_match_modulo_drift(
     """
     return all(
         batched_decision == expected_decision
-        or abs(probability - expected.threshold) <= drift_bound
+        or abs(probability - expected.threshold) <= DRIFT_BOUND
         for batched_decision, expected_decision, probability in zip(
             batched.decisions, expected.decisions, expected.probabilities
         )
     )
-
-
-def _serve_parity(
-    single_engine: ColocationEngine,
-    sharded_direct: ShardedEngine,
-    sharded_batched: ShardedEngine,
-    requests: list[list[Pair]],
-    *,
-    max_batch: int,
-    max_queue: int,
-    samples: int = 24,
-) -> tuple[bool, float]:
-    """The typed-serve twin of the bit-for-bit / drift checks.
-
-    A sample of the request stream (alternating default and explicit
-    per-request thresholds) is served three ways: the single engine, the
-    sharded engine directly (must match bit-for-bit — probabilities,
-    decisions, threshold), and a micro-batcher's ``submit_serve`` front door
-    over the sharded engine (decisions must match modulo a threshold graze —
-    see :func:`_decisions_match_modulo_drift`; probabilities may carry the
-    usual shape-dependent coalescing drift, which is returned for the caller
-    to bound).  Results are cache-state independent, so the warm engines
-    from the throughput passes serve fine.
-    """
-    step = max(1, len(requests) // samples)
-    serve_requests = [
-        JudgeRequest(pairs=tuple(pairs), threshold=(None if index % 2 == 0 else 0.4))
-        for index, pairs in enumerate(requests[::step])
-    ]
-    single_responses = [single_engine.serve(request) for request in serve_requests]
-    exact = all(
-        direct.probabilities == expected.probabilities
-        and direct.decisions == expected.decisions
-        and direct.threshold == expected.threshold
-        for direct, expected in zip(
-            (sharded_direct.serve(request) for request in serve_requests),
-            single_responses,
-        )
-    )
-    with MicroBatcher(
-        sharded_batched,
-        max_batch=max_batch,
-        max_delay_ms=0.0,
-        max_queue=max_queue,
-        overflow="block",
-    ) as batcher:
-        futures = [batcher.submit_serve(request) for request in serve_requests]
-        batched_responses = [future.result() for future in futures]
-    exact = exact and all(
-        batched.threshold == expected.threshold
-        and _decisions_match_modulo_drift(batched, expected)
-        for batched, expected in zip(batched_responses, single_responses)
-    )
-    drift = max(
-        (
-            max(
-                (abs(a - b) for a, b in zip(batched.probabilities, expected.probabilities)),
-                default=0.0,
-            )
-            for batched, expected in zip(batched_responses, single_responses)
-        ),
-        default=0.0,
-    )
-    return exact, drift

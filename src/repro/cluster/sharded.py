@@ -47,6 +47,7 @@ from repro.core.protocols import ProfileKey, profile_key
 from repro.data.records import Pair, Profile
 from repro.errors import ConfigurationError
 from repro.obs import get_tracer
+from repro.store.base import check_profile_keys
 
 
 def shard_index(key: "ProfileKey | int", num_shards: int) -> int:
@@ -348,7 +349,11 @@ class PartitionedEngine:
         first, its hottest last) so when the restored capacity is smaller,
         the LRU bound evicts the approximately coldest rows across the whole
         snapshot rather than whichever source happened to import first.
+        A malformed key raises :class:`ConfigurationError` before any shard
+        installs a row.
         """
+        for rows in snapshot:
+            check_profile_keys(rows)
         routed: list[dict[ProfileKey, np.ndarray]] = [{} for _ in self._shards]
         iterators = [iter(rows.items()) for rows in snapshot]
         while iterators:

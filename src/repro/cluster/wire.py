@@ -69,7 +69,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro import errors as errors_mod
-from repro.core.protocols import UNREVISIONED, ProfileKey, key_revision
+from repro.core.protocols import UNREVISIONED, ProfileKey
 from repro.data.records import Profile, Tweet, Visit
 from repro.errors import ReproError, RemoteJudgeError, WireProtocolError
 
@@ -190,12 +190,8 @@ def decode_payload(payload: bytes) -> tuple[object, list[np.ndarray]]:
 
 
 def encode_keys(keys: Iterable[ProfileKey]) -> list[list]:
-    """Profile keys as JSON lists ``[uid, ts, content, history_len, revision]``.
-
-    Legacy 4-tuple keys cross the wire with the unrevisioned revision, so
-    every key on the wire has all five elements (:data:`WIRE_VERSION` 2).
-    """
-    return [[k[0], k[1], k[2], k[3], key_revision(k)] for k in keys]
+    """Profile keys as JSON lists ``[uid, ts, content, history_len, revision]``."""
+    return [list(k) for k in keys]
 
 
 def decode_keys(keys: object) -> list[ProfileKey]:

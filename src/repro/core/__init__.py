@@ -29,7 +29,6 @@ from repro.core.protocols import (
     TrainableApproach,
     featurize_in_chunks,
     featurizer_dim,
-    key_revision,
     pairwise_probability_matrix,
     profile_key,
     shared_poi_probability_matrix,
@@ -46,7 +45,6 @@ __all__ = [
     "RevisionedKeyIndex",
     "FEATURIZE_CHUNK",
     "UNREVISIONED",
-    "key_revision",
     "profile_key",
     "featurize_in_chunks",
     "featurizer_dim",

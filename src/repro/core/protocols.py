@@ -35,10 +35,10 @@ FEATURIZE_CHUNK = 64
 def featurizer_dim(featurizer, default: int = 0) -> int:
     """The feature dimensionality a featurizer-like object reports.
 
-    Every featurizer exposes ``feature_dim``; the history featurizers also
-    keep their historical ``dimension`` alias, which older duck-typed stubs
-    may be the only thing to offer.  Empty-batch shapes everywhere go through
-    this one lookup so ``(0, D)`` is right for all of them.
+    Every featurizer exposes ``feature_dim``; older duck-typed stubs may
+    offer only the historical ``dimension`` name.  Empty-batch shapes
+    everywhere go through this one lookup so ``(0, D)`` is right for all of
+    them.
     """
     dim = getattr(featurizer, "feature_dim", None)
     if dim is None:
@@ -106,16 +106,6 @@ def profile_key(profile: "Profile") -> ProfileKey:
     return (profile.uid, profile.ts, profile.content, len(profile.visit_history), revision)
 
 
-def key_revision(key: ProfileKey) -> int:
-    """The revision component of a profile key.
-
-    Legacy 4-tuple keys (snapshots exported before the revision element)
-    read as :data:`UNREVISIONED`, so they import and index cleanly — they
-    simply carry no ordering to judge staleness by.
-    """
-    return int(key[4]) if len(key) > 4 else UNREVISIONED
-
-
 def superseded_keys(keys: "Iterable[ProfileKey]") -> set[ProfileKey]:
     """The stale subset of ``keys``: revisioned keys below their uid's maximum.
 
@@ -127,13 +117,13 @@ def superseded_keys(keys: "Iterable[ProfileKey]") -> set[ProfileKey]:
     latest: dict[int, int] = {}
     materialized = list(keys)
     for key in materialized:
-        revision = key_revision(key)
+        revision = key[4]
         if revision >= 0 and revision > latest.get(key[0], UNREVISIONED):
             latest[key[0]] = revision
     return {
         key
         for key in materialized
-        if 0 <= key_revision(key) < latest.get(key[0], UNREVISIONED)
+        if 0 <= key[4] < latest.get(key[0], UNREVISIONED)
     }
 
 
@@ -157,7 +147,7 @@ class RevisionedKeyIndex:
 
     def register(self, key: ProfileKey) -> None:
         """Index a newly inserted key (and advance its uid's revision watermark)."""
-        uid, revision = key[0], key_revision(key)
+        uid, revision = key[0], key[4]
         self._by_uid.setdefault(uid, set()).add(key)
         if revision > self._latest.get(uid, UNREVISIONED):
             self._latest[uid] = revision
@@ -182,7 +172,7 @@ class RevisionedKeyIndex:
         out: list[ProfileKey] = []
         for uid, resident in self._by_uid.items():
             latest = self._latest.get(uid, UNREVISIONED)
-            out.extend(k for k in resident if 0 <= key_revision(k) < latest)
+            out.extend(k for k in resident if 0 <= k[4] < latest)
         return out
 
     def clear(self) -> None:

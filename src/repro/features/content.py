@@ -59,6 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.protocols import UNREVISIONED
 from repro.data.records import Profile
 from repro.nn.autograd import Tensor, is_inference_mode, relu
 from repro.nn.conv import TemporalConv
@@ -120,7 +121,8 @@ class TextVectorizer:
         self.max_tokens = max_tokens
         self.min_tokens = min_tokens
         self._pad_id = vocabulary.token_to_id.get(STOPWORD_TOKEN, vocabulary.unknown_id)
-        #: Word-vector matrices keyed by ``(uid, ts, content)``.
+        #: Word-vector matrices keyed by :func:`repro.core.profile_key` with the
+        #: visit history blanked (``len`` 0, unrevisioned): they read the tweet only.
         self._cache = HotStore(cache_size)
 
     @property
@@ -154,7 +156,7 @@ class TextVectorizer:
 
     def vectorize(self, profile: Profile) -> np.ndarray:
         """The ``(T, M)`` word-vector matrix of a profile's recent tweet (cached)."""
-        key = (profile.uid, profile.ts, profile.content)
+        key = (profile.uid, profile.ts, profile.content, 0, UNREVISIONED)
         matrix = self._cache.get(key)
         if matrix is None:
             matrix = self.skipgram.encode_sequence(self.token_ids(profile.content))

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.protocols import UNREVISIONED, ProfileKey
 from repro.data.records import Profile
 from repro.errors import ConfigurationError
 from repro.features.content import (
@@ -36,9 +37,6 @@ from repro.nn.autograd import Tensor, concatenate, inference_mode
 from repro.nn.layers import MLP, Dropout, Linear, l2_normalize
 from repro.nn.module import Module
 from repro.store import HotStore, resolve_rows
-
-#: Memo key of one ``Fv(r)`` row: ``(uid, ts, len(visit_history), revision)``.
-HistoryKey = tuple[int, float, int, int]
 
 
 @dataclass
@@ -195,15 +193,15 @@ class HisRectFeaturizer(Module):
         return cached
 
     @staticmethod
-    def _history_key(profile: Profile) -> HistoryKey:
-        """Memo key of ``Fv(r)``: ``(uid, ts, len, revision)``.
+    def _history_key(profile: Profile) -> ProfileKey:
+        """Memo key of ``Fv(r)``: :func:`repro.core.profile_key` with the tweet blanked.
 
-        The builder-stamped revision (``-1`` when absent) keeps a capped
-        history that slid its window — same length, different visits — from
-        hitting the stale row, mirroring :func:`repro.core.profile_key`.
+        ``Fv(r)`` ignores the tweet.  The builder-stamped revision keeps a
+        capped history that slid its window — same length, different
+        visits — from hitting the stale row.
         """
-        revision = -1 if profile.revision is None else int(profile.revision)
-        return (profile.uid, profile.ts, len(profile.visit_history), revision)
+        revision = UNREVISIONED if profile.revision is None else int(profile.revision)
+        return (profile.uid, profile.ts, "", len(profile.visit_history), revision)
 
     def warm_history_row(self, profile: Profile, row: np.ndarray) -> None:
         """Seed the ``Fv(r)`` memo with an externally computed row.

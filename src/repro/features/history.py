@@ -184,11 +184,6 @@ class HistoricalVisitFeaturizer:
         """Feature dimensionality — one entry per POI."""
         return len(self.registry)
 
-    @property
-    def dimension(self) -> int:
-        """Alias of :attr:`feature_dim` (kept for backwards compatibility)."""
-        return self.feature_dim
-
     def visit_relevance(self, lat: float, lon: float) -> np.ndarray:
         """The spatial-relevance vector ``w(v)`` of Eq. (1) for one visit."""
         distances = self.registry.distances_from(lat, lon)
@@ -370,11 +365,6 @@ class OneHotHistoryFeaturizer:
     def feature_dim(self) -> int:
         """Feature dimensionality — one entry per POI."""
         return len(self.registry)
-
-    @property
-    def dimension(self) -> int:
-        """Alias of :attr:`feature_dim` (kept for backwards compatibility)."""
-        return self.feature_dim
 
     def featurize(self, profile: Profile) -> np.ndarray:
         """Normalised visit counts for one profile — the batch path's reference."""

@@ -234,11 +234,9 @@ class Tensor:
             node_grad = grads.pop(id(node), None)
             if node_grad is None:
                 continue
-            if node.grad is None:
-                node.grad = node_grad.copy()
-            else:
-                node.grad = node.grad + node_grad
             if node._backward_fn is None:
+                # Only leaves keep a gradient; intermediates just pass theirs on.
+                node.grad = node_grad.copy() if node.grad is None else node.grad + node_grad
                 continue
             parent_grads = node._backward_fn(node_grad)
             for parent, pgrad in zip(node._parents, parent_grads):

@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.core.protocols import ProfileKey, RevisionedKeyIndex
 from repro.errors import ConfigurationError
-from repro.store.base import EngineCacheInfo
+from repro.store.base import EngineCacheInfo, check_profile_keys
 
 _MAGIC = "repro-feature-arena"
 _VERSION = 1
@@ -304,6 +304,7 @@ class ArenaStore:
             return {key: np.array(self._mmap[slot]) for key, slot in self._slots.items()}
 
     def import_rows(self, rows: dict[ProfileKey, np.ndarray]) -> int:
+        check_profile_keys(rows)
         for key, row in rows.items():
             self.put(key, row)
         with self._lock:

@@ -18,11 +18,12 @@ hand it over without a defensive copy; callers holding borrowed rows
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Hashable, Iterable, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from repro.core.protocols import ProfileKey
+from repro.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -132,9 +133,22 @@ class FeatureStore(Protocol):
         ...
 
 
+def check_profile_keys(keys: Iterable[ProfileKey]) -> None:
+    """Raise :class:`ConfigurationError` unless every key is a 5-tuple ``ProfileKey``.
+
+    The restore entry points call this before installing anything, so a
+    malformed snapshot leaves no row behind that the revision index never saw.
+    """
+    for key in keys:
+        if not isinstance(key, tuple) or len(key) != 5:
+            raise ConfigurationError(
+                f"a profile key is (uid, ts, content, history_len, revision), got {key!r}"
+            )
+
+
 def resolve_rows(
     store: FeatureStore,
-    keys: Sequence[Hashable],
+    keys: Sequence[ProfileKey],
     compute: Callable[[list[int]], Sequence[np.ndarray]],
 ) -> tuple[np.ndarray, tuple[int, ...], int]:
     """The stacked rows of non-empty ``keys``, the miss positions and the hit count.

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.protocols import ProfileKey, RevisionedKeyIndex
 from repro.errors import ConfigurationError
-from repro.store.base import EngineCacheInfo
+from repro.store.base import EngineCacheInfo, check_profile_keys
 
 
 class HotStore:
@@ -152,6 +152,7 @@ class HotStore:
 
     def import_rows(self, rows: dict[ProfileKey, np.ndarray]) -> int:
         """Install borrowed rows (copied); returns imported keys still resident."""
+        check_profile_keys(rows)
         if self.capacity == 0:
             return 0
         with self._lock:

@@ -35,7 +35,7 @@ from repro.obs import (
     get_tracer,
 )
 from repro.store.arena import ArenaStore
-from repro.store.base import EngineCacheInfo
+from repro.store.base import EngineCacheInfo, check_profile_keys
 from repro.store.hot import HotStore
 
 
@@ -175,6 +175,7 @@ class TieredStore:
         return self._hot.export()
 
     def import_rows(self, rows: dict[ProfileKey, np.ndarray]) -> int:
+        check_profile_keys(rows)
         for key, row in rows.items():
             self.put(key, row, copy=True)
         return sum(1 for key in rows if key in self)

@@ -190,6 +190,37 @@ class TestServeBenchCommand:
         assert "sharded x2 + micro-batch" in captured.out
         assert "bit-for-bit: yes" in captured.out
 
+    def test_serve_bench_fails_on_a_diverged_report(self, capsys, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.api.engine import EngineCacheInfo
+        from repro.cluster import ClusterMetrics, loadgen
+
+        def run(label):
+            return loadgen.ServingRun(
+                label=label, elapsed_s=1.0, requests=1, pairs=1, cache=EngineCacheInfo()
+            )
+
+        tier = loadgen.TierReport(
+            run=run("sharded x2 + micro-batch"),
+            metrics=ClusterMetrics().snapshot(),
+            exact=False,
+            drift=0.0,
+            serve_exact=False,
+            serve_drift=0.0,
+        )
+        report = loadgen.ComparisonReport(single=run("single engine"), tiers=(tier,))
+        dataset = SimpleNamespace(registry=None, training_corpus=lambda: [])
+        monkeypatch.setattr(loadgen, "fit_serving_pipeline", lambda seed: (None, dataset))
+        monkeypatch.setattr(loadgen, "generate_requests", lambda *args: [])
+        monkeypatch.setattr(loadgen, "compare_serving_paths", lambda *args, **kwargs: report)
+        exit_code = main(["serve-bench"])
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        for failure in report.failures():
+            assert failure in captured.err
+        assert len(report.failures()) == 2
+
 
 class TestWorkerCommand:
     def test_parser(self):

@@ -8,6 +8,7 @@ from repro.cluster import ShardedEngine, shard_index
 from repro.core import profile_key
 from repro.data.records import Pair
 from repro.errors import ConfigurationError
+from repro.store import ArenaStore, HotStore, TieredStore
 
 
 class StubJudge:
@@ -177,7 +178,7 @@ class TestCaches:
         the approximately coldest rows across the whole snapshot."""
 
         def key(uid):
-            return (uid, 1.0, "x", 0)
+            return (uid, 1.0, "x", 0, -1)
 
         def row(uid):
             return np.array([float(uid)])
@@ -190,6 +191,29 @@ class TestCaches:
             assert engine.restore(snapshot) == 2
             kept = set(engine.shards[0].store.export())
         assert kept == {key(4), key(5)}  # each export's hottest row survived
+
+    def test_a_key_that_is_not_a_5_tuple_is_refused_before_any_row_lands(
+        self, fitted_pipeline, tmp_path
+    ):
+        """Every restore entry point checks all keys first: a store would
+        otherwise install the good rows (and, in ``put``, the bad key's row
+        itself) before the revision index fails to read the bad key."""
+        good = (next(u for u in range(64) if shard_index(u, 2) == 0), 1.0, "x", 0, 0)
+        bad = (next(u for u in range(64) if shard_index(u, 2) == 1), 1.0, "x", 0)
+        rows = {good: np.ones(3), bad: np.ones(3)}
+        stores = [
+            HotStore(8),
+            ArenaStore(tmp_path / "arena", capacity=8),
+            TieredStore(HotStore(8), ArenaStore(tmp_path / "cold", capacity=8)),
+        ]
+        for store in stores:
+            with pytest.raises(ConfigurationError, match="profile key"):
+                store.import_rows(rows)
+            assert len(store) == 0 and good not in store
+        with ShardedEngine(fitted_pipeline, num_shards=2, cache_size=8) as engine:
+            with pytest.raises(ConfigurationError, match="profile key"):
+                engine.restore(({good: np.ones(3)}, {bad: np.ones(3)}))
+            assert engine.cache_info().size == 0
 
     def test_snapshot_restores_across_shard_counts(self, fitted_pipeline, tiny_dataset):
         profiles = tiny_dataset.train.labeled_profiles[:10]

@@ -17,7 +17,7 @@ def profile_with_history(visits, ts=10_000.0, uid=1):
 class TestHistoricalVisitFeaturizer:
     def test_dimension_matches_registry(self, small_registry):
         featurizer = HistoricalVisitFeaturizer(small_registry)
-        assert featurizer.dimension == len(small_registry)
+        assert featurizer.feature_dim == len(small_registry)
 
     def test_empty_history_is_uniform_unit_vector(self, small_registry):
         featurizer = HistoricalVisitFeaturizer(small_registry)

@@ -168,8 +168,7 @@ class TestFeatureDimUnification:
             OneHotHistoryFeaturizer(small_registry),
         ):
             assert featurizer.feature_dim == len(small_registry)
-            # The historical alias stays for backwards compatibility.
-            assert featurizer.dimension == featurizer.feature_dim
+            assert not hasattr(featurizer, "dimension")  # one name, no alias
 
     def test_featurizer_dim_helper(self, small_registry):
         from repro.core import featurizer_dim

@@ -167,6 +167,14 @@ class TestTensorBehaviour:
         z.sum().backward()
         np.testing.assert_allclose(t.grad, [8.0])
 
+    def test_only_leaves_keep_a_gradient(self):
+        t = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        y = t * 3.0
+        loss = (y * y).sum()
+        loss.backward()
+        assert y.grad is None and loss.grad is None
+        np.testing.assert_allclose(t.grad, 18.0 * t.data)
+
     def test_ndarray_on_the_left_defers_to_the_tensor(self):
         t = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         left = np.array([3.0, 5.0])

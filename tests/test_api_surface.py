@@ -55,7 +55,6 @@ class TestExportedNames:
             "UNREVISIONED",
             "featurize_in_chunks",
             "featurizer_dim",
-            "key_revision",
             "pairwise_probability_matrix",
             "profile_key",
             "shared_poi_probability_matrix",
